@@ -21,7 +21,7 @@ from .fields import (
     multipole_coefficients,
     sup_residual,
 )
-from .geometry import QuadratureRule, SurfaceSpec, build_quadrature, enclosing_radius, inscribed_radius
+from .geometry import QuadratureRule, SurfaceSpec, build_quadrature, enclosing_radius, inscribed_radius, radius_bounds
 from .harmonics import BasisEvaluation, ELL_MAX, basis_on_nodes, eval_Y, eval_grad_h, eval_h, flatten, n_terms, unflatten
 from .lsq import DIRICHLET, NEUMANN, ROBIN, LsqProblem, LsqSolution, assemble, solve
 
@@ -35,6 +35,6 @@ __all__ = [
     "SurfaceSpec", "assemble", "basis_on_nodes", "boundary_data_from_oracle",
     "build_quadrature", "enclosing_radius", "error_on_enclosing_sphere", "eval_Y",
     "eval_grad_h", "eval_h", "flatten", "inscribed_radius", "multipole_coefficients",
-    "n_terms", "neumann_data_from_potential", "run_mrc", "solve", "sup_residual",
+    "n_terms", "neumann_data_from_potential", "radius_bounds", "run_mrc", "solve", "sup_residual",
     "unflatten",
 ]

@@ -6,9 +6,6 @@ enclosing spheres. All floats are printed with 17 significant digits so
 reports are byte-reproducible. Exit codes: 0 success, 2 config error,
 3 geometry error, 4 solver degeneracy, 5 nonconvergence (report still
 written).
-
-The environment variable MRC_SEED is reserved but ignored: the pipeline
-contains no randomness.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from . import driver, fields, geometry
+from . import driver, fields
 from .config import RunConfig
 from .errors import ConfigError, GeometryError, SolverError
 
@@ -102,7 +99,7 @@ def execute_run(cfg: RunConfig, base_dir: Path | None = None):
     if oracle is not None:
         radii = cfg.outputs.get("field_radii")
         if radii is None:
-            radii = [2.0 * geometry.enclosing_radius(spec)]
+            radii = [2.0 * report.field.r_max]
         for R in radii:
             err = fields.error_on_enclosing_sphere(report.field, oracle, float(R))
             error_rows.append([float(R), err.l2, err.sup])
@@ -204,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run a single adaptive solve")
     p_solve.add_argument("config", help="path to a JSON run config")
     p_solve.add_argument("--out", default=None, help="directory for output files")
-    p_solve.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; a solve is sequential")
     p_solve.add_argument("--verbose", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 

@@ -1,13 +1,15 @@
 """Adaptive degree loop: grow the expansion until the boundary residual
 falls below the target.
 
-At each degree L the full system for degrees 0..L is assembled and solved
-from scratch (the matrices are small); the loop stops at the first L whose
-residual is <= epsilon, at L_max, or after a run of consecutive steps with
-negligible improvement (default three; band-limited data orthogonal to the
-low degrees produces long flat plateaus, so the patience is configurable). The residual history over nested bases is
-non-increasing by construction, which is what makes "smallest such L"
-well-defined.
+The basis columns are nested by degree, so the weighted design matrix is
+tabulated once per run and grown as L rises: each step appends only the
+columns of its new degrees, then solves the system for degrees 0..L from
+its SVD. The loop stops at the first L whose residual is <= epsilon, at
+L_max, or after a run of consecutive steps with negligible improvement
+(default three; band-limited data orthogonal to the low degrees produces
+long flat plateaus, so the patience is configurable). The residual history
+over nested bases is non-increasing by construction, which is what makes
+"smallest such L" well-defined.
 """
 
 from __future__ import annotations
@@ -145,9 +147,8 @@ def run_mrc(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule,
     if data.values.shape[0] != rule.n_nodes:
         raise ValueError("boundary data length does not match the quadrature rule")
 
-    r_min = geometry.inscribed_radius(spec)
-    r_max = geometry.enclosing_radius(spec)
-    need_grad = data.bc != lsq.DIRICHLET
+    r_min, r_max = geometry.radius_bounds(spec)
+    system = lsq.GrowingSystem(rule, spec.center, data.values, data.bc, data.sigma, L_max)
     f_norm = float(np.sqrt(np.sum(rule.weights * data.values**2)))
 
     history: list[DegreeRecord] = []
@@ -158,21 +159,18 @@ def run_mrc(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule,
     prev_residual = None
 
     for L in range(cfg.L_start, L_max + 1, cfg.L_step):
-        basis = harmonics.basis_on_nodes(L, rule, spec.center, gradients=need_grad)
-        problem = lsq.assemble(rule, basis, data.values, data.bc, data.sigma)
         try:
-            sol = lsq.solve(problem, cfg.svd_rtol)
+            sol = lsq.solve(system.extend(L), cfg.svd_rtol)
         except SolverError:
             termination = STAGNATED
             break
         coeffs = sol.coefficients
-        trial = fields.ExteriorField(spec.center, coeffs, r_min, r_max)
         history.append(
             DegreeRecord(
                 L=L,
                 residual_l2=sol.residual_l2,
                 residual_rel=sol.residual_l2 / f_norm if f_norm > 0 else 0.0,
-                sup_residual=fields.sup_residual(rule, trial, data),
+                sup_residual=sol.sup_residual,
                 rank=sol.rank,
                 cond_estimate=sol.cond_estimate,
             )

@@ -156,8 +156,8 @@ def build_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> QuadratureR
     wq = np.repeat(wg, n_phi) * (2.0 * np.pi / n_phi)
 
     rho = spec.rho(theta, phi)
-    if np.any(rho <= 0.0):
-        raise GeometryError(f"surface radius is non-positive at some nodes ({spec.kind})")
+    if not np.all((rho > 0.0) & (rho < np.inf)):
+        raise GeometryError(f"surface radius is non-positive or not finite at some nodes ({spec.kind})")
     rho_t, rho_p = spec.rho_derivatives(theta, phi)
 
     s, c = np.sin(theta), np.cos(theta)
@@ -183,27 +183,33 @@ def build_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> QuadratureR
 
 
 _SCAN_GRID = (1441, 2880)  # dense angular grid for radius extrema
+_SCAN_ROWS = 64  # theta rows per chunk of the scan
 
 
-def _rho_extrema(spec: SurfaceSpec) -> tuple[float, float]:
+def radius_bounds(spec: SurfaceSpec) -> tuple[float, float]:
+    """(inscribed, enclosing) radius from one scan of a dense angular grid.
+
+    The inscribed radius is the min of rho (no safety factor: shrinking is
+    safe); the enclosing one is the max with a tiny safety factor. The grid
+    is scanned in row chunks; min and max do not depend on the order.
+    """
     nt, np_ = _SCAN_GRID
     theta = np.linspace(0.0, np.pi, nt)
     phi = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
-    rho = spec.rho(theta[:, None], phi[None, :])
-    return float(rho.min()), float(rho.max())
+    lo, hi = np.inf, -np.inf
+    for i in range(0, nt, _SCAN_ROWS):
+        rho = spec.rho(theta[i : i + _SCAN_ROWS, None], phi[None, :])
+        lo, hi = np.minimum(lo, rho.min()), np.maximum(hi, rho.max())  # both keep a NaN
+    if not (lo > 0.0 and hi < np.inf):
+        raise GeometryError("surface radius is non-positive or not finite somewhere")
+    return float(lo), float(hi) * (1.0 + 1e-9)
 
 
 def enclosing_radius(spec: SurfaceSpec) -> float:
     """Max of rho over a dense grid, with a tiny safety factor."""
-    rmin, rmax = _rho_extrema(spec)
-    if rmin <= 0.0:
-        raise GeometryError("surface radius is non-positive somewhere")
-    return rmax * (1.0 + 1e-9)
+    return radius_bounds(spec)[1]
 
 
 def inscribed_radius(spec: SurfaceSpec) -> float:
     """Min of rho over a dense grid (no safety factor: shrinking is safe)."""
-    rmin, _ = _rho_extrema(spec)
-    if rmin <= 0.0:
-        raise GeometryError("surface radius is non-positive somewhere")
-    return rmin
+    return radius_bounds(spec)[0]

@@ -44,50 +44,68 @@ def unflatten(k: int) -> tuple[int, int]:
 
 def degrees(ell_max: int) -> np.ndarray:
     """Array mapping flat index -> degree l, for 0 <= l <= ell_max."""
-    ells = np.empty(n_terms(ell_max), dtype=int)
-    for ell in range(ell_max + 1):
-        ells[ell * ell : (ell + 1) ** 2] = ell
-    return ells
+    return np.repeat(np.arange(ell_max + 1), 2 * np.arange(ell_max + 1) + 1)
 
 
-def _recurrence_coeffs(ell_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of the fully normalized associated Legendre recurrence.
+def _by_order(m0: np.ndarray, cos_part: np.ndarray, sin_part: np.ndarray) -> np.ndarray:
+    """A degree block in flat order m = -l..l, from its m = 0 column and
+    its cos (m > 0) and sin (m < 0) parts, both listed by |m| = 1..l."""
+    return np.concatenate([sin_part[:, ::-1], m0[:, None], cos_part], axis=1)
 
-    P[m, m](x) = a[m, m] * (1 - x^2)^(m/2)
-    P[l, m](x) = a[l, m] * x * P[l-1, m] + b[l, m] * P[l-2, m]
 
-    with the sphere normalization (including the 1/sqrt(4*pi)) built into
-    a[m, m], so that the real harmonics assembled from these are orthonormal.
+def _legendre_blocks(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivatives: bool = False):
+    """Yield (Y, dY/dtheta, dY/dphi) for the degrees l = 0..ell_max in turn.
+
+    Block l has shape (n_points, 2l+1) in flat order; the derivatives are
+    None unless requested. The fully normalized recurrence
+
+        P[m, m] = a[m, m] * sin(theta)^m
+        P[l, m] = a[l, m] * cos(theta) * P[l-1, m] + b[l, m] * P[l-2, m]
+
+    runs over all orders m of a degree at once and keeps only the last two
+    degrees. The sphere normalization, with its 1/sqrt(4*pi), sits in
+    a[m, m], so the real harmonics built from P are orthonormal.
     """
-    a = np.zeros((ell_max + 1, ell_max + 1))
-    b = np.zeros((ell_max + 1, ell_max + 1))
-    for m in range(ell_max + 1):
-        amm = 1.0
-        for k in range(1, m + 1):
-            amm *= (2 * k + 1) / (2 * k)
-        a[m, m] = math.sqrt(amm / (4.0 * math.pi))
-        for ell in range(m + 1, ell_max + 1):
-            a[ell, m] = math.sqrt((4 * ell * ell - 1) / (ell * ell - m * m))
-            if ell > m + 1:
-                b[ell, m] = -math.sqrt(
-                    (2 * ell + 1)
-                    * ((ell - 1) ** 2 - m * m)
-                    / ((2 * ell - 3) * (ell * ell - m * m))
-                )
-    return a, b
-
-
-def _check_ell_max(ell_max: int) -> None:
     if not 0 <= ell_max <= ELL_MAX:
         raise ValueError(f"ell_max must be in [0, {ELL_MAX}], got {ell_max}")
+    x, s = np.cos(theta), np.sin(theta)
+    if derivatives and np.any(np.abs(s) < 1e-13):
+        raise ValueError("angular derivatives are singular at the poles")
+    n = theta.shape[0]
+    az_cos = np.empty((n, ell_max + 1))
+    az_sin = np.empty((n, ell_max + 1))
+    p1 = np.empty((n, 0))  # P[l-1, m], m = 0..l-1
+    p2 = np.empty((n, 0))  # P[l-2, m], m = 0..l-2, and a zero column
+    amm = 1.0
+    for ell in range(ell_max + 1):
+        m = np.arange(ell + 1)
+        k = m[:-2]  # the orders that have a P[l-2, m]
+        az_cos[:, ell] = _SQRT2 * np.cos(ell * phi)
+        az_sin[:, ell] = _SQRT2 * np.sin(ell * phi)
+        if ell > 0:
+            amm *= (2 * ell + 1) / (2 * ell)
+        a = np.sqrt((4 * ell * ell - 1) / (ell * ell - m[:-1] ** 2))
+        b = np.zeros(ell)
+        b[: ell - 1] = -np.sqrt((2 * ell + 1) * ((ell - 1) ** 2 - k * k) / ((2 * ell - 3) * (ell * ell - k * k)))
+        p = np.empty((n, ell + 1))
+        p[:, :ell] = a * x[:, None] * p1 + b * p2
+        p[:, ell] = math.sqrt(amm / (4.0 * math.pi)) * s**ell
+        p1, p2 = p, np.concatenate([p1, np.zeros((n, 1))], axis=1)
+
+        azc, azs = az_cos[:, 1 : ell + 1], az_sin[:, 1 : ell + 1]
+        Y = _by_order(p[:, 0], p[:, 1:] * azc, p[:, 1:] * azs)
+        if not derivatives:
+            yield Y, None, None
+            continue
+        # dP/dtheta = (l*x*P[l,m] - c[l,m]*P[l-1,m]) / sin(theta)
+        c = np.sqrt((2 * ell + 1) / (2 * ell - 1) * (ell * ell - m * m)) if ell > 0 else np.zeros(1)
+        dp = (ell * x[:, None] * p - c * p2) / s[:, None]
+        dYdt = _by_order(dp[:, 0], dp[:, 1:] * azc, dp[:, 1:] * azs)
+        dYdp = _by_order(np.zeros(n), -m[1:] * p[:, 1:] * azs, m[1:] * p[:, 1:] * azc)
+        yield Y, dYdt, dYdp
 
 
-def ylm(
-    ell_max: int,
-    theta: np.ndarray,
-    phi: np.ndarray,
-    derivatives: bool = False,
-) -> tuple[np.ndarray, ...]:
+def ylm(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivatives: bool = False) -> tuple[np.ndarray, ...]:
     """Evaluate all Y_lm with l <= ell_max at angles (theta, phi).
 
     Returns (Y,) or (Y, dY/dtheta, dY/dphi); each array has shape
@@ -95,54 +113,46 @@ def ylm(
     at a pole (sin(theta) = 0) is refused: the 1/sin(theta) factors are
     only finite away from the poles, which quadrature nodes guarantee.
     """
-    _check_ell_max(ell_max)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    x = np.cos(theta)
-    s = np.sin(theta)
-    if derivatives and np.any(np.abs(s) < 1e-13):
-        raise ValueError("angular derivatives are singular at the poles")
+    blocks = list(_legendre_blocks(ell_max, theta, phi, derivatives))
+    return tuple(np.concatenate([b[i] for b in blocks], axis=1) for i in range(3 if derivatives else 1))
 
-    a, b = _recurrence_coeffs(ell_max)
-    n = theta.shape[0]
-    K = n_terms(ell_max)
-    Y = np.zeros((n, K))
-    if derivatives:
-        dYdt = np.zeros((n, K))
-        dYdp = np.zeros((n, K))
 
-    for m in range(ell_max + 1):
-        if m > 0:
-            az_c = _SQRT2 * np.cos(m * phi)
-            az_s = _SQRT2 * np.sin(m * phi)
-        p_prev = np.zeros(n)  # P[l-1, m]
-        p = a[m, m] * s**m
-        for ell in range(m, ell_max + 1):
-            if ell > m:
-                p_new = a[ell, m] * x * p + b[ell, m] * p_prev
-                p_prev, p = p, p_new
-            if m == 0:
-                Y[:, flatten(ell, 0)] = p
-            else:
-                Y[:, flatten(ell, m)] = p * az_c
-                Y[:, flatten(ell, -m)] = p * az_s
-            if derivatives:
-                # dP/dtheta = (l*x*P[l,m] - c*P[l-1,m]) / sin(theta)
-                c = math.sqrt((2 * ell + 1) / (2 * ell - 1) * (ell * ell - m * m)) if ell > 0 else 0.0
-                dp = (ell * x * p - c * p_prev) / s
-                if m == 0:
-                    dYdt[:, flatten(ell, 0)] = dp
-                else:
-                    k_pos = flatten(ell, m)
-                    k_neg = flatten(ell, -m)
-                    dYdt[:, k_pos] = dp * az_c
-                    dYdt[:, k_neg] = dp * az_s
-                    dYdp[:, k_pos] = -m * p * az_s
-                    dYdp[:, k_neg] = m * p * az_c
+def _power(r: np.ndarray, e: int) -> np.ndarray:
+    """r**e against an exponent array. numpy rounds a broadcast scalar
+    exponent differently (it squares exactly for e = 2), so this keeps the
+    columns of a degree the same however many degrees are built at once."""
+    return np.power(r, np.full(r.shape, float(e)))
 
-    if derivatives:
-        return Y, dYdt, dYdp
-    return (Y,)
+
+def _frame(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """sin(theta) and the unit vectors r-hat, theta-hat, phi-hat, each (n, 3)."""
+    s, c = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    rhat = np.stack([s * cp, s * sp, c], axis=1)
+    that = np.stack([c * cp, c * sp, -s], axis=1)
+    phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
+    return s, rhat, that, phat
+
+
+def _gradient_block(ell: int, blocks: tuple, r: np.ndarray, frame: tuple) -> np.ndarray:
+    """Cartesian gradients (n, 2l+1, 3) of the degree-l exterior harmonics.
+
+    Spherical components about the center: radial -(l+1)*Y/r^(l+2), polar
+    (dY/dtheta)/r^(l+2), azimuthal (dY/dphi)/(sin(theta)*r^(l+2)).
+    """
+    Y, dYdt, dYdp = blocks
+    s, rhat, that, phat = frame
+    rpow = _power(r, ell + 2)[:, None]
+    rad = -(ell + 1) * Y / rpow
+    pol = dYdt / rpow
+    azi = dYdp / (s[:, None] * rpow)
+    return (
+        rad[:, :, None] * rhat[:, None, :]
+        + pol[:, :, None] * that[:, None, :]
+        + azi[:, :, None] * phat[:, None, :]
+    )
 
 
 def _angles_of(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,40 +184,23 @@ def eval_h(ell_max: int, x, center=(0.0, 0.0, 0.0)) -> np.ndarray:
     single = x.ndim == 1
     pts = np.atleast_2d(x) - np.asarray(center, dtype=float)
     r, theta, phi = _angles_of(pts)
-    (Y,) = ylm(ell_max, theta, phi)
-    h = Y / r[:, None] ** (degrees(ell_max)[None, :] + 1)
+    h = np.empty((pts.shape[0], n_terms(ell_max)))
+    for ell, (Y, _, _) in enumerate(_legendre_blocks(ell_max, theta, phi)):
+        np.divide(Y, _power(r, ell + 1)[:, None], out=h[:, ell * ell : (ell + 1) ** 2])
     return h[0] if single else h
 
 
 def eval_grad_h(ell_max: int, x, center=(0.0, 0.0, 0.0)) -> np.ndarray:
-    """Cartesian gradients of all h_lm at x; shape (n, K, 3) or (K, 3).
-
-    Assembled in spherical components about the center:
-    radial -(l+1)*Y/r^(l+2), polar (dY/dtheta)/r^(l+2), azimuthal
-    (dY/dphi)/(sin(theta)*r^(l+2)).
-    """
+    """Cartesian gradients of all h_lm at x; shape (n, K, 3) or (K, 3)."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x) - np.asarray(center, dtype=float)
     r, theta, phi = _angles_of(pts)
-    Y, dYdt, dYdp = ylm(ell_max, theta, phi, derivatives=True)
-
-    s, c = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    rhat = np.stack([s * cp, s * sp, c], axis=1)
-    that = np.stack([c * cp, c * sp, -s], axis=1)
-    phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
-
-    ells = degrees(ell_max)
-    rpow = r[:, None] ** (ells[None, :] + 2)
-    rad = -(ells[None, :] + 1) * Y / rpow
-    pol = dYdt / rpow
-    azi = dYdp / (s[:, None] * rpow)
-
-    grad = (
-        rad[:, :, None] * rhat[:, None, :]
-        + pol[:, :, None] * that[:, None, :]
-        + azi[:, :, None] * phat[:, None, :]
+    frame = _frame(theta, phi)
+    grad = np.concatenate(
+        [_gradient_block(ell, blocks, r, frame)
+         for ell, blocks in enumerate(_legendre_blocks(ell_max, theta, phi, derivatives=True))],
+        axis=1,
     )
     return grad[0] if single else grad
 
@@ -216,42 +209,38 @@ def eval_grad_h(ell_max: int, x, center=(0.0, 0.0, 0.0)) -> np.ndarray:
 class BasisEvaluation:
     """Exterior harmonics tabulated at a fixed set of surface nodes.
 
-    values[i, k] = h_k(x_i); gradients[i, k, :] = grad h_k(x_i) when built
-    with gradients=True (required for Neumann/Robin assembly).
+    values[i, k] = h_k(x_i); normal_derivatives[i, k] = n_i . grad h_k(x_i)
+    when built with gradients=True (required for Neumann/Robin assembly).
     """
 
     ell_max: int
     values: np.ndarray
-    gradients: np.ndarray | None = None
+    normal_derivatives: np.ndarray | None = None
+
+
+def node_blocks(ell_max: int, rule, center, gradients: bool = False):
+    """Yield (h, n . grad h) at the rule's nodes, one (n_nodes, 2l+1) block
+    per degree l = 0..ell_max; the second entry is None without gradients.
+
+    Uses the rule's (theta, phi) directly, so node angles and basis angles
+    agree exactly. A caller that needs the degrees one batch at a time
+    keeps the generator and draws further blocks from it.
+    """
+    r = np.linalg.norm(rule.points - np.asarray(center, dtype=float), axis=1)
+    frame = _frame(rule.theta, rule.phi) if gradients else None
+    for ell, blocks in enumerate(_legendre_blocks(ell_max, rule.theta, rule.phi, gradients)):
+        values = blocks[0] / _power(r, ell + 1)[:, None]
+        if not gradients:
+            yield values, None
+            continue
+        yield values, np.einsum("ij,ikj->ik", rule.normals, _gradient_block(ell, blocks, r, frame))
 
 
 def basis_on_nodes(ell_max: int, rule, center, gradients: bool = False) -> BasisEvaluation:
-    """Tabulate h_lm (and optionally their gradients) at quadrature nodes.
-
-    Uses the rule's (theta, phi) directly, so node angles and basis angles
-    agree exactly.
-    """
-    _check_ell_max(ell_max)
-    r = np.linalg.norm(rule.points - np.asarray(center, dtype=float), axis=1)
-    out = ylm(ell_max, rule.theta, rule.phi, derivatives=gradients)
-    ells = degrees(ell_max)
-    values = out[0] / r[:, None] ** (ells[None, :] + 1)
-    if not gradients:
-        return BasisEvaluation(ell_max=ell_max, values=values)
-
-    Y, dYdt, dYdp = out
-    s, c = np.sin(rule.theta), np.cos(rule.theta)
-    sp, cp = np.sin(rule.phi), np.cos(rule.phi)
-    rhat = np.stack([s * cp, s * sp, c], axis=1)
-    that = np.stack([c * cp, c * sp, -s], axis=1)
-    phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
-    rpow = r[:, None] ** (ells[None, :] + 2)
-    rad = -(ells[None, :] + 1) * Y / rpow
-    pol = dYdt / rpow
-    azi = dYdp / (s[:, None] * rpow)
-    grad = (
-        rad[:, :, None] * rhat[:, None, :]
-        + pol[:, :, None] * that[:, None, :]
-        + azi[:, :, None] * phat[:, None, :]
+    """Tabulate h_lm (and optionally n . grad h_lm) at quadrature nodes."""
+    values, normal = zip(*node_blocks(ell_max, rule, center, gradients))
+    return BasisEvaluation(
+        ell_max=ell_max,
+        values=np.concatenate(values, axis=1),
+        normal_derivatives=np.concatenate(normal, axis=1) if gradients else None,
     )
-    return BasisEvaluation(ell_max=ell_max, values=values, gradients=grad)

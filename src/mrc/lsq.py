@@ -9,13 +9,14 @@ on nonspherical surfaces, and the adaptive loop wants the spectrum anyway.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SolverError
-from .harmonics import BasisEvaluation, unflatten
+from .harmonics import BasisEvaluation, node_blocks, unflatten
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -37,9 +38,32 @@ class LsqProblem:
 class LsqSolution:
     coefficients: np.ndarray
     residual_l2: float
+    sup_residual: float  # max_i |A c - b|_i / sqrt(w_i): the node-max misfit of the trace
     singular_values: np.ndarray
     rank: int
     cond_estimate: float
+
+
+def _columns(basis_values, normal_derivatives, bc: str, sigma: float, sqrt_w: np.ndarray) -> np.ndarray:
+    """The weighted design columns of `assemble`, for any run of basis columns."""
+    if bc not in BC_KINDS:
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    if bc == DIRICHLET:
+        cols = basis_values
+    elif normal_derivatives is None:
+        raise ValueError(f"{bc} assembly requires basis gradients")
+    elif bc == NEUMANN:
+        cols = normal_derivatives
+    elif sigma < 0:
+        raise ValueError("Robin coefficient must be >= 0")
+    else:
+        cols = normal_derivatives + sigma * basis_values
+    return cols * sqrt_w[:, None]
+
+
+def _problem(matrix: np.ndarray, rhs: np.ndarray, sqrt_w: np.ndarray) -> LsqProblem:
+    indices = tuple(unflatten(k) for k in range(matrix.shape[1]))
+    return LsqProblem(matrix=matrix, rhs=rhs, indices=indices, sqrt_w=sqrt_w)
 
 
 def assemble(rule, basis: BasisEvaluation, values: np.ndarray, bc: str = DIRICHLET,
@@ -49,34 +73,45 @@ def assemble(rule, basis: BasisEvaluation, values: np.ndarray, bc: str = DIRICHL
     Columns: Dirichlet h_k(x_i); Neumann n_i . grad h_k(x_i); Robin
     n_i . grad h_k(x_i) + sigma * h_k(x_i). All rows carry sqrt(w_i).
     """
-    if bc not in BC_KINDS:
-        raise ValueError(f"unknown boundary condition {bc!r}")
     values = np.asarray(values, dtype=float)
     if values.shape[0] != rule.n_nodes or basis.values.shape[0] != rule.n_nodes:
         raise ValueError("node count mismatch between rule, basis, and data")
-
-    if bc == DIRICHLET:
-        cols = basis.values
-    else:
-        if basis.gradients is None:
-            raise ValueError(f"{bc} assembly requires basis gradients")
-        cols = np.einsum("ij,ikj->ik", rule.normals, basis.gradients)
-        if bc == ROBIN:
-            if sigma < 0:
-                raise ValueError("Robin coefficient must be >= 0")
-            cols = cols + sigma * basis.values
-
     sw = np.sqrt(rule.weights)
-    indices = tuple(unflatten(k) for k in range(basis.values.shape[1]))
-    return LsqProblem(matrix=cols * sw[:, None], rhs=values * sw, indices=indices, sqrt_w=sw)
+    return _problem(_columns(basis.values, basis.normal_derivatives, bc, sigma, sw), values * sw, sw)
+
+
+class GrowingSystem:
+    """The system of `assemble` for degrees 0..L, grown as L rises.
+
+    Each `extend` tabulates only the degrees not seen yet and appends their
+    weighted columns, so a loop over nested degrees builds every column
+    once. Each column equals the one `assemble` builds, bit for bit.
+    """
+
+    def __init__(self, rule, center, values: np.ndarray, bc: str, sigma: float, ell_max: int):
+        self._bc, self._sigma = bc, sigma
+        self._blocks = node_blocks(ell_max, rule, center, gradients=bc != DIRICHLET)
+        self._sqrt_w = np.sqrt(rule.weights)
+        self._rhs = np.asarray(values, dtype=float) * self._sqrt_w
+        self._matrix = np.empty((rule.n_nodes, 0))
+        self._ell_max = -1
+
+    def extend(self, ell_max: int) -> LsqProblem:
+        """The system for degrees 0..ell_max; ell_max must not go down."""
+        new = [_columns(v, dn, self._bc, self._sigma, self._sqrt_w)
+               for v, dn in itertools.islice(self._blocks, ell_max - self._ell_max)]
+        self._matrix = np.concatenate([self._matrix, *new], axis=1)
+        self._ell_max = ell_max
+        return _problem(self._matrix, self._rhs, self._sqrt_w)
 
 
 def solve(problem: LsqProblem, svd_rtol: float = 1e-12) -> LsqSolution:
     """Truncated-SVD minimum-norm least squares.
 
     Singular values below svd_rtol * sigma_max are discarded; the solution
-    is the minimum-norm minimizer over the retained subspace. The reported
-    residual is ||A c - b||_2 recomputed from the returned coefficients.
+    is the minimum-norm minimizer over the retained subspace. Both reported
+    residuals, ||A c - b||_2 and the node-max misfit, are recomputed from
+    the returned coefficients. A LAPACK failure is raised as SolverError.
     """
     A, b = problem.matrix, problem.rhs
     if A.size == 0:
@@ -86,7 +121,10 @@ def solve(problem: LsqProblem, svd_rtol: float = 1e-12) -> LsqSolution:
             f"underdetermined system ({A.shape[0]} rows < {A.shape[1]} cols)",
             stacklevel=2,
         )
-    U, svals, Vt = np.linalg.svd(A, full_matrices=False)
+    try:
+        U, svals, Vt = np.linalg.svd(A, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"SVD failed: {exc}") from exc
     keep = svals >= svd_rtol * svals[0] if svals[0] > 0 else np.zeros_like(svals, bool)
     rank = int(keep.sum())
     if rank == 0:
@@ -94,10 +132,11 @@ def solve(problem: LsqProblem, svd_rtol: float = 1e-12) -> LsqSolution:
 
     proj = U[:, keep].T @ b
     c = Vt[keep].T @ (proj / svals[keep])
-    residual = float(np.linalg.norm(A @ c - b))
+    misfit = A @ c - b
     return LsqSolution(
         coefficients=c,
-        residual_l2=residual,
+        residual_l2=float(np.linalg.norm(misfit)),
+        sup_residual=float(np.max(np.abs(misfit) / problem.sqrt_w)),
         singular_values=svals,
         rank=rank,
         cond_estimate=float(svals[0] / svals[keep][-1]),

@@ -6,6 +6,7 @@ from mrc import driver as D
 from mrc import fields as F
 from mrc import geometry as G
 from mrc import harmonics as H
+from mrc import lsq
 from mrc.errors import ConfigError
 
 
@@ -197,3 +198,21 @@ def test_relative_residual_reported():
     report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-10))
     for h in report.history:
         assert h.residual_rel == pytest.approx(h.residual_l2 / report.f_norm, rel=1e-14)
+
+
+@pytest.mark.parametrize("bc, sigma", [("dirichlet", 0.0), ("neumann", 0.0), ("robin", 1.0)])
+@pytest.mark.parametrize("steps", [{"L_start": 0}, {"L_step": 2}], ids=["L_start=0", "L_step=2"])
+def test_growing_system_matches_rebuild(bc, sigma, steps):
+    # the loop grows one design matrix; each degree must solve exactly the
+    # system a from-scratch tabulation and assembly gives
+    spec = G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3)
+    rule = G.build_quadrature(spec, 24, 48)
+    data = F.boundary_data_from_oracle(rule, F.PointSource([0.3, 0.0, 0.0]), bc, sigma)
+    report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-14, L_max=12, **steps))
+    assert [h.L for h in report.history][:2] == [steps.get("L_start", 2), steps.get("L_start", 2) + steps.get("L_step", 1)]
+    for h in report.history:
+        basis = H.basis_on_nodes(h.L, rule, spec.center, gradients=bc != "dirichlet")
+        sol = lsq.solve(lsq.assemble(rule, basis, data.values, bc, sigma))
+        assert (h.residual_l2, h.rank, h.cond_estimate) == (sol.residual_l2, sol.rank, sol.cond_estimate)
+        field = F.ExteriorField(spec.center, sol.coefficients, report.field.r_min, report.field.r_max)
+        assert h.sup_residual == pytest.approx(F.sup_residual(rule, field, data), rel=1e-8)

@@ -124,3 +124,26 @@ def test_offset_center():
     center = (0.5, -0.25, 1.0)
     rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0, center), 16, 32)
     assert np.allclose(np.linalg.norm(rule.points - np.asarray(center), axis=1), 1.0, atol=1e-14)
+
+
+def test_nan_radius_at_nodes_rejected():
+    spec = G.SurfaceSpec("custom", rho_fn=lambda t, p: np.where(np.cos(p) > 0.9, np.nan, 1.0))
+    with pytest.raises(GeometryError):
+        G.build_quadrature(spec, 12, 24)
+
+
+def test_nan_radius_between_nodes_rejected():
+    # NaN only at the pole, which quadrature nodes never hit: the scan must see it
+    spec = G.SurfaceSpec("custom", rho_fn=lambda t, p: np.where(t == 0.0, np.nan, 1.0) + 0.0 * p)
+    G.build_quadrature(spec, 12, 24)
+    with pytest.raises(GeometryError):
+        G.radius_bounds(spec)
+    with pytest.raises(GeometryError):
+        G.inscribed_radius(spec)
+
+
+def test_radius_scan_matches_full_grid():
+    spec = G.SurfaceSpec.cosine_bump(1.0, 0.2, 3, 5)
+    nt, np_ = G._SCAN_GRID
+    rho = spec.rho(np.linspace(0.0, np.pi, nt)[:, None], np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)[None, :])
+    assert G.radius_bounds(spec) == (rho.min(), rho.max() * (1.0 + 1e-9))

@@ -56,6 +56,15 @@ def test_y53_matches_extended_precision_oracle():
     oracle = float(sympy.N(sympy.sqrt(2) * N * P * sympy.cos(3 * sympy.Integer(2)), 30))
     assert oracle == pytest.approx(0.45547468267683069, abs=1e-16)
 
+    # degree 64, the cap: the normalized recurrence stays accurate
+    Y = H.eval_Y(64, alpha)
+    for m in (0, 1, 32, 63, 64):
+        P = sympy.assoc_legendre(64, m, x) * (-1) ** m
+        N = sympy.sqrt(sympy.Rational(129) / (4 * sympy.pi) * sympy.factorial(64 - m) / sympy.factorial(64 + m))
+        azimuthal = sympy.sqrt(2) * sympy.cos(m * sympy.Integer(2)) if m else 1
+        oracle = float(sympy.N(azimuthal * N * P, 30))
+        assert Y[H.flatten(64, m)] == pytest.approx(oracle, abs=5e-15)
+
 
 def test_non_unit_direction_rejected():
     with pytest.raises(ValueError):

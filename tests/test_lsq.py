@@ -157,3 +157,11 @@ def test_residual_monotone_in_nested_bases(sphere_rule):
         basis = H.basis_on_nodes(L, sphere_rule, (0, 0, 0))
         residuals.append(lsq.solve(lsq.assemble(sphere_rule, basis, f)).residual_l2)
     assert all(r2 <= r1 * (1 + 1e-12) for r1, r2 in zip(residuals, residuals[1:]))
+
+
+def test_lapack_failure_is_solver_error(sphere_rule):
+    # a NaN entry makes the SVD fail to converge; that is a solver error
+    problem = lsq.assemble(sphere_rule, H.basis_on_nodes(2, sphere_rule, (0, 0, 0)), np.ones(sphere_rule.n_nodes))
+    problem.matrix[0, 0] = np.nan
+    with pytest.raises(SolverError):
+        lsq.solve(problem)
