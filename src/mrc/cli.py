@@ -11,14 +11,15 @@ written).
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import driver, fields
-from .config import RunConfig
+from .config import OUTPUT_FILES, RunConfig
 from .errors import ConfigError, GeometryError, SolverError
 
 EXIT_OK = 0
@@ -27,7 +28,7 @@ EXIT_GEOMETRY = 3
 EXIT_SOLVER = 4
 EXIT_NONCONVERGED = 5
 
-HISTORY_COLUMNS = ["L", "residual_l2", "residual_rel", "sup_residual", "rank", "cond_estimate"]
+HISTORY_COLUMNS = [f.name for f in dataclasses.fields(driver.DegreeRecord)]
 FIELD_ERROR_COLUMNS = ["R", "l2_error", "sup_error"]
 
 
@@ -54,37 +55,22 @@ def _dumps_17g(obj, indent: int = 0) -> str:
             return "[]"
         items = ",\n".join(f"{pad}  {_dumps_17g(v, indent + 1)}" for v in obj)
         return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
     if isinstance(obj, float):
         return format(obj, ".17g")
     return json.dumps(obj)
 
 
 def _write_csv(path: Path, columns: list[str], rows: list[list]) -> None:
-    import csv as _csv
-    import io
-
-    buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    path.write_text(buf.getvalue())
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def _default_outputs(outputs: dict, out_dir: Path | None) -> dict:
-    resolved = {
-        "report": outputs.get("report", "report.json"),
-        "history_csv": outputs.get("history_csv", "history.csv"),
-        "field_error_csv": outputs.get("field_error_csv", "field_errors.csv"),
-        "field_radii": outputs.get("field_radii"),
-    }
+def _output_paths(outputs: dict, out_dir: Path | None) -> dict:
+    """Each output file of a solve; a relative name is taken from out_dir."""
     base = out_dir if out_dir is not None else Path.cwd()
-    for key in ("report", "history_csv", "field_error_csv"):
-        p = Path(resolved[key])
-        resolved[key] = p if p.is_absolute() else base / p
-    return resolved
+    return {key: base / outputs.get(key, name) for key, name in OUTPUT_FILES.items()}
 
 
 def execute_run(cfg: RunConfig, base_dir: Path | None = None):
@@ -107,9 +93,9 @@ def execute_run(cfg: RunConfig, base_dir: Path | None = None):
 
 
 def write_reports(cfg: RunConfig, report, error_rows, out_dir: Path | None, verbose: bool) -> None:
-    paths = _default_outputs(cfg.outputs, out_dir)
-    for key in ("report", "history_csv", "field_error_csv"):
-        paths[key].parent.mkdir(parents=True, exist_ok=True)
+    paths = _output_paths(cfg.outputs, out_dir)
+    for path in paths.values():
+        path.parent.mkdir(parents=True, exist_ok=True)
 
     doc = report.to_dict()
     doc["config"] = cfg.to_dict()
@@ -118,7 +104,7 @@ def write_reports(cfg: RunConfig, report, error_rows, out_dir: Path | None, verb
     _write_csv(
         paths["history_csv"],
         HISTORY_COLUMNS,
-        [[h.L, h.residual_l2, h.residual_rel, h.sup_residual, h.rank, h.cond_estimate] for h in report.history],
+        [list(dataclasses.astuple(h)) for h in report.history],
     )
     if error_rows:
         _write_csv(paths["field_error_csv"], FIELD_ERROR_COLUMNS, error_rows)
@@ -181,14 +167,7 @@ def cmd_sweep(args) -> int:
     base_doc.pop("grid", None)
     columns = keys + ["termination", "chosen_L", "final_residual", "sr_error", "error"]
 
-    if not keys:
-        rows = []
-    elif args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_sweep_cell, base_doc, keys, values, base_dir) for values in cells]
-            rows = [f.result() for f in futures]  # submission order keeps rows deterministic
-    else:
-        rows = [_sweep_cell(base_doc, keys, values, base_dir) for values in cells]
+    rows = [_sweep_cell(base_doc, keys, values, base_dir) for values in cells] if keys else []
 
     _write_csv(out_dir / cfg.outputs.get("sweep_csv", "sweep.csv"), columns, rows)
     return EXIT_OK
@@ -207,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a parameter grid of solves")
     p_sweep.add_argument("config", help="path to a JSON run config with a 'grid' section")
     p_sweep.add_argument("--out", default=None, help="directory for output files")
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

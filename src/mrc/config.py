@@ -1,6 +1,7 @@
 """Run configuration: a single JSON document describing one solve.
 
-Schema (all floats; "grid" turns a run into a sweep, see cli):
+Schema ("grid" turns a run into a sweep, see cli); a key outside it, or a
+value of the wrong type, is a ConfigError:
 
     {
       "surface": {"preset": "sphere" | "spheroid" | "cosine_bump",
@@ -9,37 +10,48 @@ Schema (all floats; "grid" turns a run into a sweep, see cli):
       "data": {"type": "point_source", "z": [x, y, z], "q": 1.0}
             | {"type": "band_limited", "coefficients": [[ell, m, value], ...]}
             | {"type": "tabulated", "path": "samples.csv"},
-      "mrc": {"epsilon": ..., "L_start": 2, "L_step": 1, "L_max": 40,
-              "svd_rtol": 1e-12, "stagnation_factor": 0.999},
+      "mrc": {"epsilon": ..., "L_start": ..., "L_step": ..., "L_max": ...,
+              "svd_rtol": ..., "stagnation_factor": ..., "stagnation_patience": ...},
       "quadrature": "auto" | {"n_theta": ..., "n_phi": ...},
       "outputs": {"report": "report.json", "history_csv": "history.csv",
                   "field_error_csv": "field_errors.csv",
-                  "field_radii": [2.0, 4.0]}
+                  "field_radii": [2.0, 4.0], "sweep_csv": "sweep.csv"},
+      "grid": {"dotted.path": [value, ...], ...}
     }
 
-"auto" quadrature resolves to n_theta = L_max+2, n_phi = 2*L_max+2.
-Tabulated samples are CSV rows theta,phi,f that must match the generated
-quadrature nodes to 1e-12 in angle; no interpolation is attempted.
+Only "mrc.epsilon" is required there; the other "mrc" keys default to the
+fields of driver.MrcConfig, which holds the only copy of each default. The
+parameters of each preset, with their defaults, types and ranges, are its
+entry in geometry.PRESETS. "auto" quadrature is geometry.auto_quadrature
+at L_max. Tabulated samples are CSV rows theta,phi,f that must match the
+generated quadrature nodes to 1e-12 in angle; no interpolation is attempted.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
 
 from . import driver, fields, geometry, harmonics
-from .errors import ConfigError
+from .errors import ConfigError, require_number
 from .lsq import BC_KINDS, DIRICHLET
 
-_SURFACE_PARAMS = {
-    "sphere": {"a"},
-    "spheroid": {"a", "e"},
-    "cosine_bump": {"a", "delta", "k", "p"},
-}
+# The output files a solve writes, with their default names.
+OUTPUT_FILES = {"report": "report.json", "history_csv": "history.csv", "field_error_csv": "field_errors.csv"}
+
+
+def _section(value, name: str, keys=None) -> dict:
+    """A copy of one JSON object of the config; keys outside `keys` are refused."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(value) - set(value if keys is None else keys)
+    if unknown:
+        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    return dict(value)
 
 
 @dataclass(frozen=True)
@@ -54,19 +66,18 @@ class RunConfig:
 
     @staticmethod
     def from_dict(doc: dict, base_dir: Path | None = None) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
+        doc = _section(doc, "config", [f.name for f in dc_fields(RunConfig)])
         for key in ("surface", "data", "mrc"):
             if key not in doc:
                 raise ConfigError(f"config is missing required section {key!r}")
         cfg = RunConfig(
-            surface=dict(doc["surface"]),
-            bc=dict(doc.get("bc", {"kind": DIRICHLET})),
-            data=dict(doc["data"]),
-            mrc=dict(doc["mrc"]),
+            surface=_section(doc["surface"], "surface", ("preset", "params", "center")),
+            bc=_section(doc.get("bc", {"kind": DIRICHLET}), "bc", ("kind", "sigma")),
+            data=_section(doc["data"], "data", ("type", "z", "q", "coefficients", "path")),
+            mrc=_section(doc["mrc"], "mrc"),
             quadrature=doc.get("quadrature", "auto"),
-            outputs=dict(doc.get("outputs", {})),
-            grid=dict(doc["grid"]) if "grid" in doc else None,
+            outputs=_section(doc.get("outputs", {}), "outputs", [*OUTPUT_FILES, "field_radii", "sweep_csv"]),
+            grid=_section(doc["grid"], "grid") if "grid" in doc else None,
         )
         cfg.validate(base_dir)
         return cfg
@@ -81,50 +92,33 @@ class RunConfig:
         return RunConfig.from_dict(doc, base_dir=path.parent)
 
     def to_dict(self) -> dict:
-        doc = {
-            "surface": self.surface,
-            "bc": self.bc,
-            "data": self.data,
-            "mrc": self.mrc,
-            "quadrature": self.quadrature,
-            "outputs": self.outputs,
-        }
-        if self.grid is not None:
-            doc["grid"] = self.grid
-        return doc
+        """The config as the document it was read from (grid only if present)."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     # -- validation ----------------------------------------------------
 
     def validate(self, base_dir: Path | None = None) -> None:
-        preset = self.surface.get("preset")
-        if preset not in _SURFACE_PARAMS:
-            raise ConfigError(f"unknown surface preset {preset!r}")
-        params = self.surface.get("params", {})
-        extra = set(params) - _SURFACE_PARAMS[preset]
-        if extra:
-            raise ConfigError(f"unknown parameters for {preset!r}: {sorted(extra)}")
+        self.surface_spec()  # checks the preset and its parameters against geometry.PRESETS
 
         if self.bc.get("kind") not in BC_KINDS:
             raise ConfigError(f"unknown boundary condition {self.bc.get('kind')!r}")
-        if self.bc.get("sigma", 0.0) < 0:
+        if not self.sigma >= 0:
             raise ConfigError("Robin coefficient sigma must be >= 0")
 
         dtype = self.data.get("type")
         if dtype not in ("point_source", "band_limited", "tabulated"):
             raise ConfigError(f"unknown data type {dtype!r}")
-        if dtype == "tabulated":
-            path = Path(self.data.get("path", ""))
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            if not path.is_file():
-                raise ConfigError(f"tabulated data file not found: {path}")
+        if dtype == "tabulated" and not self._tabulated_path(base_dir).is_file():
+            raise ConfigError(f"tabulated data file not found: {self._tabulated_path(base_dir)}")
 
-        # constructing MrcConfig runs the numeric range checks
+        # constructing MrcConfig runs the type and range checks
         self.mrc_config()
 
         if self.quadrature != "auto":
-            if not isinstance(self.quadrature, dict) or not {"n_theta", "n_phi"} <= set(self.quadrature):
+            if not isinstance(self.quadrature, dict) or set(self.quadrature) != {"n_theta", "n_phi"}:
                 raise ConfigError('quadrature must be "auto" or {"n_theta": ..., "n_phi": ...}')
+            for key, n in self.quadrature.items():
+                require_number(f"quadrature {key}", n, int)
 
         if self.grid is not None:
             for key, vals in self.grid.items():
@@ -135,27 +129,24 @@ class RunConfig:
 
     def surface_spec(self) -> geometry.SurfaceSpec:
         return geometry.SurfaceSpec(
-            self.surface["preset"],
-            dict(self.surface.get("params", {})),
+            self.surface.get("preset"),
+            self.surface.get("params", {}),
             tuple(self.surface.get("center", (0.0, 0.0, 0.0))),
         )
 
+    @property
+    def sigma(self) -> float:
+        return require_number("bc sigma", self.bc.get("sigma", 0.0))
+
     def mrc_config(self) -> driver.MrcConfig:
-        m = self.mrc
-        return driver.MrcConfig(
-            epsilon=m.get("epsilon", -1.0),
-            L_start=m.get("L_start", 2),
-            L_step=m.get("L_step", 1),
-            L_max=m.get("L_max", 40),
-            svd_rtol=m.get("svd_rtol", 1e-12),
-            stagnation_factor=m.get("stagnation_factor", 0.999),
-            stagnation_patience=m.get("stagnation_patience", 3),
-        )
+        try:
+            return driver.MrcConfig(**self.mrc)
+        except TypeError as exc:  # an unknown key, or no epsilon
+            raise ConfigError(f"mrc section: {exc}") from exc
 
     def quadrature_rule(self, spec: geometry.SurfaceSpec) -> geometry.QuadratureRule:
         if self.quadrature == "auto":
-            L_max = self.mrc_config().L_max
-            return geometry.build_quadrature(spec, L_max + 2, 2 * L_max + 2)
+            return geometry.auto_quadrature(spec, self.mrc_config().L_max)
         return geometry.build_quadrature(spec, int(self.quadrature["n_theta"]), int(self.quadrature["n_phi"]))
 
     def oracle(self):
@@ -174,32 +165,32 @@ class RunConfig:
         return None
 
     def boundary_data(self, spec, rule, base_dir: Path | None = None) -> fields.BoundaryData:
-        bc = self.bc["kind"]
-        sigma = float(self.bc.get("sigma", 0.0))
         oracle = self.oracle()
         if oracle is not None:
             if isinstance(oracle, fields.PointSource):
                 fields.interior_source_or_raise(spec, oracle.z)
-            return fields.boundary_data_from_oracle(rule, oracle, bc, sigma)
-        path = Path(self.data["path"])
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        return boundary_data_from_csv(path, rule, bc, sigma)
+            return fields.boundary_data_from_oracle(rule, oracle, self.bc["kind"], self.sigma)
+        return boundary_data_from_csv(self._tabulated_path(base_dir), rule, self.bc["kind"], self.sigma)
+
+    def _tabulated_path(self, base_dir: Path | None) -> Path:
+        """The samples file; a relative path is taken from base_dir."""
+        return (base_dir or Path()) / self.data.get("path", "")
 
 
 def boundary_data_from_csv(path: Path, rule, bc: str, sigma: float) -> fields.BoundaryData:
     """Read theta,phi,f samples; node angles must match the rule to 1e-12."""
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:3]] != ["theta", "phi", "f"]:
             raise ConfigError(f"{path}: expected CSV header theta,phi,f")
-        for row in reader:
-            rows.append((float(row[0]), float(row[1]), float(row[2])))
+        try:
+            rows = [(float(row[0]), float(row[1]), float(row[2])) for row in reader]
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"{path}: malformed sample row: {exc}") from exc
     if len(rows) != rule.n_nodes:
         raise ConfigError(f"{path}: {len(rows)} samples but the rule has {rule.n_nodes} nodes")
     arr = np.asarray(rows)
-    if np.max(np.abs(arr[:, 0] - rule.theta)) > 1e-12 or np.max(np.abs(arr[:, 1] - rule.phi)) > 1e-12:
+    if not np.allclose(arr[:, :2].T, [rule.theta, rule.phi], rtol=0.0, atol=1e-12):
         raise ConfigError(f"{path}: sample angles do not match the quadrature nodes (no interpolation)")
     return fields.BoundaryData(bc=bc, values=arr[:, 2].copy(), sigma=sigma, oracle=None)

@@ -14,12 +14,12 @@ over nested bases is non-increasing by construction, which is what makes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields
 
 import numpy as np
 
 from . import fields, geometry, harmonics, lsq
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, require_number
 
 CONVERGED = "converged"
 L_MAX_REACHED = "L_max_reached"
@@ -29,32 +29,32 @@ STAGNATED = "stagnated"
 @dataclass(frozen=True)
 class MrcConfig:
     """Parameters of an adaptive run; epsilon is in the same units as the
-    discrete L2(S) norm of the data (reports also carry residual/||f||)."""
+    discrete L2(S) norm of the data (reports also carry residual/||f||).
+    The defaults here are the only ones: a run config's "mrc" section is
+    passed in as keyword arguments."""
 
     epsilon: float
     L_start: int = 2
     L_step: int = 1
     L_max: int = 40
-    svd_rtol: float = 1e-12
+    svd_rtol: float = lsq.SVD_RTOL
     stagnation_factor: float = 0.999
     stagnation_patience: int = 3
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if not 0 <= self.L_start <= self.L_max <= harmonics.ELL_MAX:
-            raise ConfigError(
-                f"need 0 <= L_start <= L_max <= {harmonics.ELL_MAX}, "
-                f"got L_start={self.L_start}, L_max={self.L_max}"
-            )
-        if self.L_step < 1:
-            raise ConfigError("L_step must be >= 1")
-        if not 0 < self.stagnation_factor < 1:
-            raise ConfigError("stagnation_factor must lie in (0, 1)")
-        if self.stagnation_patience < 1:
-            raise ConfigError("stagnation_patience must be >= 1")
-        if not self.svd_rtol > 0:
-            raise ConfigError("svd_rtol must be > 0")
+        for f in dc_fields(self):
+            kind = int if f.type in ("int", int) else float
+            object.__setattr__(self, f.name, require_number(f.name, getattr(self, f.name), kind))
+        for holds, requirement in (
+            (self.epsilon > 0, "epsilon > 0"),
+            (0 <= self.L_start <= self.L_max <= harmonics.ELL_MAX, f"0 <= L_start <= L_max <= {harmonics.ELL_MAX}"),
+            (self.L_step >= 1, "L_step >= 1"),
+            (0 < self.stagnation_factor < 1, "0 < stagnation_factor < 1"),
+            (self.stagnation_patience >= 1, "stagnation_patience >= 1"),
+            (self.svd_rtol > 0, "svd_rtol > 0"),
+        ):
+            if not holds:
+                raise ConfigError(f"MRC parameters need {requirement}, got {self}")
 
 
 @dataclass(frozen=True)
@@ -100,24 +100,9 @@ class SolveReport:
             "final_residual": self.final_residual,
             "rule_refined": self.rule_refined,
             "fd_derivatives": self.fd_derivatives,
-            "history": [
-                {
-                    "L": h.L,
-                    "residual_l2": h.residual_l2,
-                    "residual_rel": h.residual_rel,
-                    "sup_residual": h.sup_residual,
-                    "rank": h.rank,
-                    "cond_estimate": h.cond_estimate,
-                }
-                for h in self.history
-            ],
-            "coefficients": [
-                {"ell": int(ell), "m": int(m), "value": float(v)}
-                for (ell, m), v in zip(
-                    (harmonics.unflatten(k) for k in range(self.coefficients.shape[0])),
-                    self.coefficients,
-                )
-            ],
+            "history": [asdict(h) for h in self.history],
+            "coefficients": [dict(zip(("ell", "m"), harmonics.unflatten(k)), value=float(v))
+                             for k, v in enumerate(self.coefficients)],
         }
 
 
@@ -130,20 +115,15 @@ def run_mrc(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule,
     without an oracle instead caps the effective L_max at what the rule
     resolves. Either adjustment is recorded in the report.
     """
-    refined = False
     L_max = cfg.L_max
-    if not rule.resolves(cfg.L_max):
-        if data.oracle is not None:
-            rule = geometry.build_quadrature(spec, cfg.L_max + 2, 2 * cfg.L_max + 2)
-            data = fields.boundary_data_from_oracle(rule, data.oracle, data.bc, data.sigma)
-            refined = True
-        else:
-            L_max = min(rule.n_theta - 1, (rule.n_phi - 1) // 2)
-            if L_max < cfg.L_start:
-                raise ConfigError(
-                    "quadrature rule cannot resolve L_start and tabulated data cannot be resampled"
-                )
-            refined = True
+    refined = not rule.resolves(L_max)
+    if refined and data.oracle is not None:
+        rule = geometry.auto_quadrature(spec, L_max)
+        data = fields.boundary_data_from_oracle(rule, data.oracle, data.bc, data.sigma)
+    elif refined:
+        L_max = min(rule.n_theta - 1, (rule.n_phi - 1) // 2)
+        if L_max < cfg.L_start:
+            raise ConfigError("quadrature rule cannot resolve L_start and tabulated data cannot be resampled")
     if data.values.shape[0] != rule.n_nodes:
         raise ValueError("boundary data length does not match the quadrature rule")
 
@@ -165,16 +145,10 @@ def run_mrc(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule,
             termination = STAGNATED
             break
         coeffs = sol.coefficients
-        history.append(
-            DegreeRecord(
-                L=L,
-                residual_l2=sol.residual_l2,
-                residual_rel=sol.residual_l2 / f_norm if f_norm > 0 else 0.0,
-                sup_residual=sol.sup_residual,
-                rank=sol.rank,
-                cond_estimate=sol.cond_estimate,
-            )
-        )
+        history.append(DegreeRecord(
+            L=L, residual_l2=sol.residual_l2, residual_rel=sol.residual_l2 / f_norm if f_norm > 0 else 0.0,
+            sup_residual=sol.sup_residual, rank=sol.rank, cond_estimate=sol.cond_estimate,
+        ))
         if sol.residual_l2 <= cfg.epsilon:
             chosen_L = L
             termination = CONVERGED

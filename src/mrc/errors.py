@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check for numeric input."""
+
+import numbers
 
 
 class MrcError(Exception):
@@ -15,3 +17,14 @@ class GeometryError(MrcError):
 
 class SolverError(MrcError):
     """Degenerate least-squares system (all singular values truncated)."""
+
+
+def require_number(name: str, value, kind: type = float):
+    """`value` as a `kind` (float or int); ConfigError for a non-number or a bool,
+    and for int also for a number with a fractional part."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if ok and kind is int and not isinstance(value, numbers.Integral):
+        ok = float(value).is_integer()
+    if not ok:
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)

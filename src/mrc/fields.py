@@ -40,32 +40,27 @@ class ExteriorField:
             raise ValueError("coefficient vector length is not a perfect square")
         return ell
 
-    def __call__(self, x) -> np.ndarray | float:
+    def _exterior_points(self, x) -> tuple[np.ndarray, bool]:
+        """(x as an (n, 3) array, whether x was one point); refuses points inside the inscribed sphere."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
         pts = np.atleast_2d(x)
-        r = np.linalg.norm(pts - np.asarray(self.center), axis=1)
-        if np.any(r < self.r_min * (1.0 - 1e-12)):
+        if np.any(np.linalg.norm(pts - np.asarray(self.center), axis=1) < self.r_min * (1.0 - 1e-12)):
             raise ValueError("evaluation point inside the inscribed sphere")
-        h = harmonics.eval_h(self.ell_max, pts, self.center)
-        v = h @ self.coefficients
+        return pts, x.ndim == 1
+
+    def __call__(self, x) -> np.ndarray | float:
+        pts, single = self._exterior_points(x)
+        v = harmonics.eval_h(self.ell_max, pts, self.center) @ self.coefficients
         return float(v[0]) if single else v
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        r = np.linalg.norm(pts - np.asarray(self.center), axis=1)
-        if np.any(r < self.r_min * (1.0 - 1e-12)):
-            raise ValueError("evaluation point inside the inscribed sphere")
+        pts, single = self._exterior_points(x)
         g = np.einsum("ikj,k->ij", harmonics.eval_grad_h(self.ell_max, pts, self.center), self.coefficients)
         return g[0] if single else g
 
 
 class PointSource:
     """Harmonic oracle v(x) = q / |x - z| for a source z inside the surface."""
-
-    kind = "point_source"
 
     def __init__(self, z, q: float = 1.0):
         self.z = np.asarray(z, dtype=float)
@@ -82,8 +77,6 @@ class PointSource:
 
 class BandLimited:
     """Harmonic oracle given by an explicit finite expansion about `center`."""
-
-    kind = "band_limited"
 
     def __init__(self, coefficients, center=(0.0, 0.0, 0.0)):
         self.coefficients = np.asarray(coefficients, dtype=float)
@@ -106,7 +99,8 @@ class BoundaryData:
     """Boundary trace samples at quadrature nodes plus the condition kind.
 
     `oracle` is kept when the data came from a closed form, so the driver
-    can resample after refining the quadrature rule.
+    can resample after refining the quadrature rule. Every sample must be
+    finite, whether it was sampled from an oracle or read from a file.
     """
 
     bc: str
@@ -117,19 +111,25 @@ class BoundaryData:
     def __post_init__(self):
         if self.bc not in BC_KINDS:
             raise ValueError(f"unknown boundary condition {self.bc!r}")
+        if not np.all(np.isfinite(self.values)):
+            raise ConfigError("boundary data has NaN or infinite values")
+
+
+def _trace(fn, rule, bc: str, sigma: float) -> np.ndarray:
+    """The boundary trace that a bc of kind `bc` prescribes, of a harmonic
+    function with a gradient (an oracle or a fitted field), at the nodes."""
+    if bc == DIRICHLET:
+        return fn(rule.points)
+    if bc not in (NEUMANN, ROBIN):
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    normal = np.einsum("ij,ij->i", rule.normals, fn.gradient(rule.points))
+    return normal + sigma * fn(rule.points) if bc == ROBIN else normal
 
 
 def boundary_data_from_oracle(rule, oracle, bc: str = DIRICHLET, sigma: float = 0.0) -> BoundaryData:
     """Sample the trace of an oracle on the rule's nodes for the given bc."""
-    if bc == DIRICHLET:
-        f = oracle(rule.points)
-    elif bc == NEUMANN:
-        f = np.einsum("ij,ij->i", rule.normals, oracle.gradient(rule.points))
-    elif bc == ROBIN:
-        f = np.einsum("ij,ij->i", rule.normals, oracle.gradient(rule.points)) + sigma * oracle(rule.points)
-    else:
-        raise ValueError(f"unknown boundary condition {bc!r}")
-    return BoundaryData(bc=bc, values=np.asarray(f, dtype=float), sigma=sigma, oracle=oracle)
+    return BoundaryData(bc=bc, values=np.asarray(_trace(oracle, rule, bc, sigma), dtype=float),
+                        sigma=sigma, oracle=oracle)
 
 
 def multipole_coefficients(z, q: float, ell_max: int, center=(0.0, 0.0, 0.0)) -> np.ndarray:
@@ -170,13 +170,7 @@ def error_on_enclosing_sphere(field: ExteriorField, oracle, R: float,
 
 def sup_residual(rule, field: ExteriorField, data: BoundaryData) -> float:
     """Node-max boundary misfit of the fitted field (C(S)-norm diagnostic)."""
-    if data.bc == DIRICHLET:
-        trace = field(rule.points)
-    else:
-        trace = np.einsum("ij,ij->i", rule.normals, field.gradient(rule.points))
-        if data.bc == ROBIN:
-            trace = trace + data.sigma * field(rule.points)
-    return float(np.max(np.abs(trace - data.values)))
+    return float(np.max(np.abs(_trace(field, rule, data.bc, data.sigma) - data.values)))
 
 
 def interior_source_or_raise(spec, z) -> np.ndarray:

@@ -10,22 +10,66 @@ Gauss nodes never hit the poles, so the 1/sin(theta) in J is always finite.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, GeometryError, require_number
 
 _FD_STEP = 1e-6  # central-difference step (radians) for custom shapes
+
+
+class Preset(NamedTuple):
+    params: dict  # name -> default, None if required; an int default makes an int parameter
+    rho: Callable  # rho(theta, phi, **params)
+    drho: Callable  # (d rho/d theta, d rho/d phi) = drho(theta, phi, **params)
+    checks: tuple  # (predicate(**params), what it requires) pairs
+
+
+def _shape(theta, phi):
+    return np.broadcast(theta, phi).shape
+
+
+_A_POSITIVE = (lambda a, **_: a > 0, "radius a > 0")
+
+PRESETS = {
+    "sphere": Preset(
+        {"a": None},
+        lambda t, f, a: np.broadcast_to(a, _shape(t, f)).copy(),
+        lambda t, f, a: (np.zeros(_shape(t, f)), np.zeros(_shape(t, f))),
+        (_A_POSITIVE,),
+    ),
+    "spheroid": Preset(
+        {"a": None, "e": None},
+        lambda t, f, a, e: a * (1.0 + e * np.cos(t) ** 2) * np.ones_like(f),
+        lambda t, f, a, e: (-2.0 * a * e * np.cos(t) * np.sin(t) * np.ones_like(f), np.zeros(_shape(t, f))),
+        (_A_POSITIVE, (lambda e, **_: e > -1, "eccentricity e > -1")),
+    ),
+    "cosine_bump": Preset(
+        {"a": None, "delta": None, "k": 2, "p": 3},
+        lambda t, f, a, delta, k, p: a * (1.0 + delta * np.sin(t) ** k * np.cos(p * f)),
+        lambda t, f, a, delta, k, p: (
+            a * delta * k * np.sin(t) ** (k - 1) * np.cos(t) * np.cos(p * f),
+            -a * delta * p * np.sin(t) ** k * np.sin(p * f),
+        ),
+        (_A_POSITIVE, (lambda k, **_: k >= 1, "exponent k >= 1"),
+         (lambda delta, **_: abs(delta) < 1, "amplitude |delta| < 1")),
+    ),
+}
 
 
 @dataclass(frozen=True)
 class SurfaceSpec:
     """A star-shaped boundary r = rho(theta, phi) about `center`.
 
-    Presets ("sphere", "spheroid", "cosine_bump") carry analytic angular
-    derivatives; a "custom" spec falls back to central differences and is
+    A preset kind is a key of PRESETS, with analytic angular derivatives;
+    its params are checked against the table, completed with its defaults
+    and converted to their types. Each preset also has a constructor,
+    SurfaceSpec.<kind>(<params in table order>, center=(0, 0, 0)). A
+    "custom" spec falls back to central differences of `rho_fn` and is
     flagged via `uses_fd_derivatives`.
     """
 
@@ -35,43 +79,24 @@ class SurfaceSpec:
     rho_fn: Callable | None = None  # custom shapes only
 
     def __post_init__(self):
-        if self.kind not in ("sphere", "spheroid", "cosine_bump", "custom"):
-            raise ConfigError(f"unknown surface preset {self.kind!r}")
         if self.kind == "custom":
             if self.rho_fn is None:
                 raise ConfigError("custom surface requires rho_fn")
             return
-        p = self.params
-        a = p.get("a")
-        if a is None or a <= 0:
-            raise ConfigError(f"surface {self.kind!r} requires radius a > 0")
-        if self.kind == "spheroid" and not -1 < p.get("e", 0.0):
-            raise ConfigError("spheroid eccentricity must satisfy e > -1")
-        if self.kind == "cosine_bump":
-            if p.get("k", 2) < 1:
-                raise ConfigError("cosine_bump exponent k must be >= 1")
-            if abs(p.get("delta", 0.0)) >= 1:
-                raise ConfigError("cosine_bump amplitude must satisfy |delta| < 1")
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def sphere(a: float, center=(0.0, 0.0, 0.0)) -> "SurfaceSpec":
-        return SurfaceSpec("sphere", {"a": float(a)}, tuple(center))
-
-    @staticmethod
-    def spheroid(a: float, e: float, center=(0.0, 0.0, 0.0)) -> "SurfaceSpec":
-        """rho(theta) = a * (1 + e * cos(theta)^2)."""
-        return SurfaceSpec("spheroid", {"a": float(a), "e": float(e)}, tuple(center))
-
-    @staticmethod
-    def cosine_bump(a: float, delta: float, k: int = 2, p: int = 3, center=(0.0, 0.0, 0.0)) -> "SurfaceSpec":
-        """rho(theta, phi) = a * (1 + delta * sin(theta)^k * cos(p*phi))."""
-        return SurfaceSpec(
-            "cosine_bump",
-            {"a": float(a), "delta": float(delta), "k": int(k), "p": int(p)},
-            tuple(center),
-        )
+        preset = PRESETS.get(self.kind) if isinstance(self.kind, str) else None
+        if preset is None:
+            raise ConfigError(f"unknown surface preset {self.kind!r}")
+        required = {name for name, default in preset.params.items() if default is None}
+        if not isinstance(self.params, dict) or not required <= set(self.params) <= set(preset.params):
+            raise ConfigError(f"surface {self.kind!r} takes the parameters {list(preset.params)} "
+                              f"(required: {sorted(required)}), got {self.params!r}")
+        params = {name: require_number(f"surface parameter {name!r}", self.params.get(name, default),
+                                       int if isinstance(default, int) else float)
+                  for name, default in preset.params.items()}
+        object.__setattr__(self, "params", params)
+        for holds, requirement in preset.checks:
+            if not holds(**params):
+                raise ConfigError(f"surface {self.kind!r} requires {requirement}")
 
     @property
     def uses_fd_derivatives(self) -> bool:
@@ -82,34 +107,46 @@ class SurfaceSpec:
     def rho(self, theta, phi):
         theta = np.asarray(theta, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        p = self.params
-        if self.kind == "sphere":
-            return np.broadcast_to(p["a"], np.broadcast(theta, phi).shape).copy()
-        if self.kind == "spheroid":
-            return p["a"] * (1.0 + p["e"] * np.cos(theta) ** 2) * np.ones_like(phi)
-        if self.kind == "cosine_bump":
-            return p["a"] * (1.0 + p["delta"] * np.sin(theta) ** p["k"] * np.cos(p["p"] * phi))
-        return np.asarray(self.rho_fn(theta, phi), dtype=float)
+        if self.kind == "custom":
+            return np.asarray(self.rho_fn(theta, phi), dtype=float)
+        return PRESETS[self.kind].rho(theta, phi, **self.params)
 
     def rho_derivatives(self, theta, phi):
         """(d rho/d theta, d rho/d phi); analytic for presets."""
         theta = np.asarray(theta, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        p = self.params
-        if self.kind == "sphere":
-            z = np.zeros(np.broadcast(theta, phi).shape)
-            return z, z.copy()
-        if self.kind == "spheroid":
-            dt = -2.0 * p["a"] * p["e"] * np.cos(theta) * np.sin(theta)
-            return dt * np.ones_like(phi), np.zeros(np.broadcast(theta, phi).shape)
-        if self.kind == "cosine_bump":
-            a, d, k, pp = p["a"], p["delta"], p["k"], p["p"]
-            dt = a * d * k * np.sin(theta) ** (k - 1) * np.cos(theta) * np.cos(pp * phi)
-            dp = -a * d * pp * np.sin(theta) ** k * np.sin(pp * phi)
-            return dt, dp
+        if self.kind != "custom":
+            return PRESETS[self.kind].drho(theta, phi, **self.params)
         dt = (self.rho_fn(theta + _FD_STEP, phi) - self.rho_fn(theta - _FD_STEP, phi)) / (2 * _FD_STEP)
         dp = (self.rho_fn(theta, phi + _FD_STEP) - self.rho_fn(theta, phi - _FD_STEP)) / (2 * _FD_STEP)
         return np.asarray(dt, dtype=float), np.asarray(dp, dtype=float)
+
+    @cached_property
+    def _radius_bounds(self) -> tuple[float, float]:
+        return _scan_radius_bounds(self)
+
+
+def _preset_constructor(kind: str):
+    """The staticmethod SurfaceSpec.<kind>, with the preset's parameters, in
+    table order and with its defaults, then `center`."""
+    signature = inspect.Signature([
+        inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                          default=inspect.Parameter.empty if default is None else default)
+        for name, default in [*PRESETS[kind].params.items(), ("center", (0.0, 0.0, 0.0))]
+    ])
+
+    def construct(*args, **kwargs) -> SurfaceSpec:
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        params = dict(bound.arguments)
+        return SurfaceSpec(kind, params, tuple(params.pop("center")))
+
+    construct.__name__, construct.__signature__ = kind, signature
+    return staticmethod(construct)
+
+
+for _kind in PRESETS:
+    setattr(SurfaceSpec, _kind, _preset_constructor(_kind))
 
 
 @dataclass(frozen=True)
@@ -140,6 +177,16 @@ class QuadratureRule:
         return self.n_theta >= ell_max + 1 and self.n_phi >= 2 * ell_max + 1
 
 
+def spherical_frame(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """sin(theta) and the unit vectors r-hat, theta-hat, phi-hat, each (n, 3)."""
+    s, c = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    rhat = np.stack([s * cp, s * sp, c], axis=1)
+    that = np.stack([c * cp, c * sp, -s], axis=1)
+    phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
+    return s, rhat, that, phat
+
+
 def build_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> QuadratureRule:
     """Gauss-Legendre (cos theta) x trapezoid (phi) rule on the surface."""
     if n_theta < 2 or n_phi < 4:
@@ -159,12 +206,7 @@ def build_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> QuadratureR
     if not np.all((rho > 0.0) & (rho < np.inf)):
         raise GeometryError(f"surface radius is non-positive or not finite at some nodes ({spec.kind})")
     rho_t, rho_p = spec.rho_derivatives(theta, phi)
-
-    s, c = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    rhat = np.stack([s * cp, s * sp, c], axis=1)
-    that = np.stack([c * cp, c * sp, -s], axis=1)
-    phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
+    s, rhat, that, phat = spherical_frame(theta, phi)
 
     center = np.asarray(spec.center, dtype=float)
     points = center + rho[:, None] * rhat
@@ -182,11 +224,16 @@ def build_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> QuadratureR
     )
 
 
+def auto_quadrature(spec: SurfaceSpec, L_max: int) -> QuadratureRule:
+    """The default rule for degrees up to L_max: n_theta = L_max+2, n_phi = 2*L_max+2."""
+    return build_quadrature(spec, L_max + 2, 2 * L_max + 2)
+
+
 _SCAN_GRID = (1441, 2880)  # dense angular grid for radius extrema
 _SCAN_ROWS = 64  # theta rows per chunk of the scan
 
 
-def radius_bounds(spec: SurfaceSpec) -> tuple[float, float]:
+def _scan_radius_bounds(spec: SurfaceSpec) -> tuple[float, float]:
     """(inscribed, enclosing) radius from one scan of a dense angular grid.
 
     The inscribed radius is the min of rho (no safety factor: shrinking is
@@ -203,6 +250,11 @@ def radius_bounds(spec: SurfaceSpec) -> tuple[float, float]:
     if not (lo > 0.0 and hi < np.inf):
         raise GeometryError("surface radius is non-positive or not finite somewhere")
     return float(lo), float(hi) * (1.0 + 1e-9)
+
+
+def radius_bounds(spec: SurfaceSpec) -> tuple[float, float]:
+    """(inscribed, enclosing) radius; the grid is scanned once per spec, on first use."""
+    return spec._radius_bounds
 
 
 def enclosing_radius(spec: SurfaceSpec) -> float:

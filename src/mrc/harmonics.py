@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import spherical_frame
+
 # Hard cap on the expansion degree. r^(l+1) dynamic range wrecks the
 # conditioning of any fit long before this.
 ELL_MAX = 64
@@ -126,16 +128,6 @@ def _power(r: np.ndarray, e: int) -> np.ndarray:
     return np.power(r, np.full(r.shape, float(e)))
 
 
-def _frame(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
-    """sin(theta) and the unit vectors r-hat, theta-hat, phi-hat, each (n, 3)."""
-    s, c = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    rhat = np.stack([s * cp, s * sp, c], axis=1)
-    that = np.stack([c * cp, c * sp, -s], axis=1)
-    phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
-    return s, rhat, that, phat
-
-
 def _gradient_block(ell: int, blocks: tuple, r: np.ndarray, frame: tuple) -> np.ndarray:
     """Cartesian gradients (n, 2l+1, 3) of the degree-l exterior harmonics.
 
@@ -196,7 +188,7 @@ def eval_grad_h(ell_max: int, x, center=(0.0, 0.0, 0.0)) -> np.ndarray:
     single = x.ndim == 1
     pts = np.atleast_2d(x) - np.asarray(center, dtype=float)
     r, theta, phi = _angles_of(pts)
-    frame = _frame(theta, phi)
+    frame = spherical_frame(theta, phi)
     grad = np.concatenate(
         [_gradient_block(ell, blocks, r, frame)
          for ell, blocks in enumerate(_legendre_blocks(ell_max, theta, phi, derivatives=True))],
@@ -227,7 +219,7 @@ def node_blocks(ell_max: int, rule, center, gradients: bool = False):
     keeps the generator and draws further blocks from it.
     """
     r = np.linalg.norm(rule.points - np.asarray(center, dtype=float), axis=1)
-    frame = _frame(rule.theta, rule.phi) if gradients else None
+    frame = spherical_frame(rule.theta, rule.phi) if gradients else None
     for ell, blocks in enumerate(_legendre_blocks(ell_max, rule.theta, rule.phi, gradients)):
         values = blocks[0] / _power(r, ell + 1)[:, None]
         if not gradients:

@@ -22,6 +22,7 @@ DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 ROBIN = "robin"
 BC_KINDS = (DIRICHLET, NEUMANN, ROBIN)
+SVD_RTOL = 1e-12  # default relative truncation of the singular values
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ class GrowingSystem:
         return _problem(self._matrix, self._rhs, self._sqrt_w)
 
 
-def solve(problem: LsqProblem, svd_rtol: float = 1e-12) -> LsqSolution:
+def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
     """Truncated-SVD minimum-norm least squares.
 
     Singular values below svd_rtol * sigma_max are discarded; the solution

@@ -178,14 +178,22 @@ def test_sweep_cell_failure_recorded_in_row(tmp_path):
     assert rows[1]["error"]
 
 
-def test_sweep_jobs_parallel_deterministic(tmp_path):
+def test_sweep_rerun_deterministic(tmp_path):
     doc = base_config(data={"type": "point_source", "z": [0.3, 0.0, 0.0], "q": 1.0})
     doc["grid"] = {"mrc.epsilon": [1e-3, 1e-5, 1e-7]}
     cfg = write_config(tmp_path, doc)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
-    assert cli.main(["sweep", str(cfg), "--out", str(out1), "--jobs", "3"]) == 0
+    assert cli.main(["sweep", str(cfg), "--out", str(out1)]) == 0
     assert cli.main(["sweep", str(cfg), "--out", str(out2)]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def test_sweep_has_no_jobs_option(tmp_path):
+    doc = base_config()
+    doc["grid"] = {"mrc.epsilon": [1e-3]}
+    cfg = write_config(tmp_path, doc)
+    with pytest.raises(SystemExit):
+        cli.main(["sweep", str(cfg), "--out", str(tmp_path), "--jobs", "2"])
 
 
 def test_tabulated_data_roundtrip(tmp_path):
@@ -252,3 +260,86 @@ def test_float_formatting_17_digits(tmp_path):
     # every float in the file round-trips exactly through its text form
     coeff = next(c for c in report["coefficients"] if c["ell"] == 3 and c["m"] == 2)
     assert coeff["value"] == pytest.approx(1.0, abs=1e-11)
+
+
+
+_POINT = {"type": "point_source", "z": [0.3, 0.0, 0.0], "q": 1.0}
+_DELETE = object()
+
+
+def _edit(doc, dotted, value):
+    *path, last = dotted.split(".")
+    for key in path:
+        doc = doc[key]
+    if value is _DELETE:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+@pytest.mark.parametrize("edits", [
+    pytest.param(edits, id=name) for name, edits in {
+        # each of these ended in a traceback, or ran with the key ignored, before
+        "spheroid-without-e": {"surface": {"preset": "spheroid", "params": {"a": 1.0}}},
+        "string-radius": {"surface.params.a": "1"},
+        "unknown-surface-param": {"surface.params.b": 1.0},
+        "fractional-k": {"surface": {"preset": "cosine_bump", "params": {"a": 1.0, "delta": 0.2, "k": 2.5}}},
+        "list-preset": {"surface.preset": ["sphere"]},
+        "string-sigma": {"bc": {"kind": "robin", "sigma": "1"}},
+        "bc-sgima": {"bc": {"kind": "robin", "sgima": 3}},
+        "fractional-L_max": {"mrc.L_max": 12.5},
+        "bool-L_max": {"mrc.L_max": True},
+        "mrc-Lmax": {"mrc.Lmax": 5},
+        "mrc-stagnation_patiance": {"mrc.stagnation_patiance": 50},
+        "no-epsilon": {"mrc.epsilon": _DELETE},
+        "string-n_theta": {"quadrature": {"n_theta": "x", "n_phi": 26}},
+        "quadrature-n_r": {"quadrature": {"n_theta": 14, "n_phi": 26, "n_r": 3}},
+        "outputs-reprot": {"outputs.reprot": "r.json"},
+        "top-level-bogus": {"bogus": 1},
+        "nan-source": {"data": dict(_POINT, z=[float("nan"), 0.0, 0.0])},
+    }.items()
+])
+def test_bad_config_value_is_config_error(tmp_path, edits):
+    doc = base_config()
+    for dotted, value in edits.items():
+        _edit(doc, dotted, value)
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["solve", str(cfg), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cosine_bump_defaults_come_from_the_preset_table(tmp_path):
+    histories = []
+    for name, params in (("defaults", {}), ("explicit", {"k": 2, "p": 3})):
+        doc = base_config(surface={"preset": "cosine_bump", "params": {"a": 1.0, "delta": 0.2, **params}},
+                          data=dict(_POINT), mrc={"epsilon": 1e-6, "L_max": 20})
+        out = tmp_path / name
+        assert cli.main(["solve", str(write_config(tmp_path, doc, f"{name}.json")), "--out", str(out)]) == 0
+        histories.append((out / "history.csv").read_bytes())
+    assert histories[0] == histories[1]
+    spec = G.SurfaceSpec("cosine_bump", {"a": 1.0, "delta": 0.2})
+    assert spec == G.SurfaceSpec.cosine_bump(1.0, 0.2) == G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3)
+    assert type(spec.params["k"]) is int and type(spec.params["p"]) is int
+
+
+@pytest.mark.parametrize("sample", ["nan", "abc"])
+def test_bad_tabulated_sample_is_config_error(tmp_path, sample):
+    rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0), 14, 26)
+    f = ["1.0"] * rule.n_nodes
+    f[5] = sample
+    lines = ["theta,phi,f"] + [f"{t:.17g},{p:.17g},{v}" for t, p, v in zip(rule.theta, rule.phi, f)]
+    (tmp_path / "samples.csv").write_text("\n".join(lines) + "\n")
+    doc = base_config(data={"type": "tabulated", "path": "samples.csv"},
+                      mrc={"epsilon": 1e-6, "L_start": 0, "L_max": 12})
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["solve", str(cfg), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+
+def test_one_radius_scan_per_solve(tmp_path, monkeypatch):
+    # a point-source solve needs the inscribed radius twice: for the source check and for the field
+    scans = []
+    scan = G._scan_radius_bounds
+    monkeypatch.setattr(G, "_scan_radius_bounds", lambda spec: scans.append(spec) or scan(spec))
+    cfg = write_config(tmp_path, base_config(data=dict(_POINT), mrc={"epsilon": 1e-6, "L_max": 12}))
+    assert cli.main(["solve", str(cfg), "--out", str(tmp_path)]) == 0
+    assert len(scans) == 1
