@@ -22,17 +22,16 @@ from .fields import (
     sup_residual,
 )
 from .geometry import QuadratureRule, SurfaceSpec, build_quadrature, enclosing_radius, inscribed_radius, radius_bounds
-from .harmonics import BasisEvaluation, ELL_MAX, basis_on_nodes, eval_Y, eval_grad_h, eval_h, flatten, n_terms, unflatten
-from .lsq import DIRICHLET, NEUMANN, ROBIN, LsqProblem, LsqSolution, assemble, solve
+from .harmonics import ELL_MAX, eval_Y, eval_grad_h, eval_h, flatten, n_terms, unflatten
+from .lsq import DIRICHLET, NEUMANN, ROBIN, LsqProblem, LsqSolution, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandLimited", "BasisEvaluation", "BoundaryData", "ConfigError", "CONVERGED",
-    "DIRICHLET", "ELL_MAX", "ExteriorField", "GeometryError", "L_MAX_REACHED",
-    "LsqProblem", "LsqSolution", "MrcConfig", "MrcError", "NEUMANN", "PointSource",
-    "QuadratureRule", "ROBIN", "STAGNATED", "SolveReport", "SolverError",
-    "SurfaceSpec", "assemble", "basis_on_nodes", "boundary_data_from_oracle",
+    "BandLimited", "BoundaryData", "ConfigError", "CONVERGED", "DIRICHLET", "ELL_MAX",
+    "ExteriorField", "GeometryError", "L_MAX_REACHED", "LsqProblem", "LsqSolution",
+    "MrcConfig", "MrcError", "NEUMANN", "PointSource", "QuadratureRule", "ROBIN",
+    "STAGNATED", "SolveReport", "SolverError", "SurfaceSpec", "boundary_data_from_oracle",
     "build_quadrature", "enclosing_radius", "error_on_enclosing_sphere", "eval_Y",
     "eval_grad_h", "eval_h", "flatten", "inscribed_radius", "multipole_coefficients",
     "n_terms", "neumann_data_from_potential", "radius_bounds", "run_mrc", "solve", "sup_residual",

@@ -77,18 +77,15 @@ def execute_run(cfg: RunConfig, base_dir: Path | None = None):
     """Run one solve; returns (report, field_error_rows)."""
     spec = cfg.surface_spec()
     rule = cfg.quadrature_rule(spec)
+    oracle = cfg.oracle(spec)
+    radii = cfg.field_radii(spec) if oracle is not None else []
     data = cfg.boundary_data(spec, rule, base_dir)
     report = driver.run_mrc(spec, rule, data, cfg.mrc_config())
 
     error_rows = []
-    oracle = cfg.oracle()
-    if oracle is not None:
-        radii = cfg.outputs.get("field_radii")
-        if radii is None:
-            radii = [2.0 * report.field.r_max]
-        for R in radii:
-            err = fields.error_on_enclosing_sphere(report.field, oracle, float(R))
-            error_rows.append([float(R), err.l2, err.sup])
+    for R in radii:
+        err = fields.error_on_enclosing_sphere(report.field, oracle, R)
+        error_rows.append([R, err.l2, err.sup])
     return report, error_rows
 
 

@@ -23,8 +23,11 @@ Only "mrc.epsilon" is required there; the other "mrc" keys default to the
 fields of driver.MrcConfig, which holds the only copy of each default. The
 parameters of each preset, with their defaults, types and ranges, are its
 entry in geometry.PRESETS. "auto" quadrature is geometry.auto_quadrature
-at L_max. Tabulated samples are CSV rows theta,phi,f that must match the
-generated quadrature nodes to 1e-12 in angle; no interpolation is attempted.
+at L_max. A band-limited expansion is about the surface center and needs
+|m| <= ell <= ELL_MAX; each field radius must enclose the surface (default:
+twice the enclosing radius). Tabulated samples are CSV rows theta,phi,f that
+must match the generated quadrature nodes to 1e-12 in angle; no
+interpolation is attempted.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ class RunConfig:
     # -- validation ----------------------------------------------------
 
     def validate(self, base_dir: Path | None = None) -> None:
-        self.surface_spec()  # checks the preset and its parameters against geometry.PRESETS
+        spec = self.surface_spec()  # checks the center, the preset and its parameters against geometry.PRESETS
 
         if self.bc.get("kind") not in BC_KINDS:
             raise ConfigError(f"unknown boundary condition {self.bc.get('kind')!r}")
@@ -111,7 +114,8 @@ class RunConfig:
         if dtype == "tabulated" and not self._tabulated_path(base_dir).is_file():
             raise ConfigError(f"tabulated data file not found: {self._tabulated_path(base_dir)}")
 
-        # constructing MrcConfig runs the type and range checks
+        # constructing the oracle and MrcConfig runs their type and range checks
+        self.oracle(spec)
         self.mrc_config()
 
         if self.quadrature != "auto":
@@ -131,7 +135,7 @@ class RunConfig:
         return geometry.SurfaceSpec(
             self.surface.get("preset"),
             self.surface.get("params", {}),
-            tuple(self.surface.get("center", (0.0, 0.0, 0.0))),
+            self.surface.get("center", (0.0, 0.0, 0.0)),
         )
 
     @property
@@ -149,23 +153,29 @@ class RunConfig:
             return geometry.auto_quadrature(spec, self.mrc_config().L_max)
         return geometry.build_quadrature(spec, int(self.quadrature["n_theta"]), int(self.quadrature["n_phi"]))
 
-    def oracle(self):
-        """The exact-solution oracle, or None for tabulated data."""
+    def oracle(self, spec: geometry.SurfaceSpec):
+        """The exact-solution oracle about the surface center, or None for tabulated data."""
         d = self.data
         if d["type"] == "point_source":
-            return fields.PointSource(d["z"], d.get("q", 1.0))
+            return fields.PointSource(d.get("z"), d.get("q", 1.0))
         if d["type"] == "band_limited":
-            entries = d["coefficients"]
-            ell_max = max(int(e[0]) for e in entries)
-            c = np.zeros(harmonics.n_terms(ell_max))
-            for ell, m, value in entries:
-                c[harmonics.flatten(int(ell), int(m))] = float(value)
-            center = tuple(self.surface.get("center", (0.0, 0.0, 0.0)))
-            return fields.BandLimited(c, center)
+            return fields.BandLimited(_band_limited_coefficients(d.get("coefficients")), spec.center)
         return None
 
+    def field_radii(self, spec: geometry.SurfaceSpec) -> list[float]:
+        """The radii of the field-error spheres: outputs.field_radii, each at
+        least the enclosing radius, or by default twice that radius."""
+        r_max = geometry.enclosing_radius(spec)
+        radii = self.outputs.get("field_radii", [2.0 * r_max])
+        if not isinstance(radii, list):
+            raise ConfigError(f"outputs field_radii must be a list of radii, got {radii!r}")
+        radii = [require_number("outputs field_radii entry", R) for R in radii]
+        if not all(R >= r_max for R in radii):
+            raise ConfigError(f"outputs field_radii {radii} must enclose the surface (enclosing radius {r_max!r})")
+        return radii
+
     def boundary_data(self, spec, rule, base_dir: Path | None = None) -> fields.BoundaryData:
-        oracle = self.oracle()
+        oracle = self.oracle(spec)
         if oracle is not None:
             if isinstance(oracle, fields.PointSource):
                 fields.interior_source_or_raise(spec, oracle.z)
@@ -174,7 +184,27 @@ class RunConfig:
 
     def _tabulated_path(self, base_dir: Path | None) -> Path:
         """The samples file; a relative path is taken from base_dir."""
-        return (base_dir or Path()) / self.data.get("path", "")
+        path = self.data.get("path", "")
+        if not isinstance(path, str):
+            raise ConfigError(f"tabulated data path must be a string, got {path!r}")
+        return (base_dir or Path()) / path
+
+
+def _band_limited_coefficients(entries) -> np.ndarray:
+    """The flat coefficient vector of [ell, m, value] entries, |m| <= ell <= ELL_MAX."""
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError("band_limited data needs a non-empty list of [ell, m, value] coefficients")
+    c, ell_max = np.zeros(harmonics.n_terms(harmonics.ELL_MAX)), 0
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ConfigError(f"band_limited coefficient {entry!r} must be [ell, m, value]")
+        ell = require_number("coefficient ell", entry[0], int)
+        m = require_number("coefficient m", entry[1], int)
+        if not abs(m) <= ell <= harmonics.ELL_MAX:
+            raise ConfigError(f"band_limited coefficient {entry!r} needs |m| <= ell <= {harmonics.ELL_MAX}")
+        c[harmonics.flatten(ell, m)] = require_number("coefficient value", entry[2])
+        ell_max = max(ell_max, ell)
+    return c[: harmonics.n_terms(ell_max)]
 
 
 def boundary_data_from_csv(path: Path, rule, bc: str, sigma: float) -> fields.BoundaryData:

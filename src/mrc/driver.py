@@ -124,11 +124,9 @@ def run_mrc(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule,
         L_max = min(rule.n_theta - 1, (rule.n_phi - 1) // 2)
         if L_max < cfg.L_start:
             raise ConfigError("quadrature rule cannot resolve L_start and tabulated data cannot be resampled")
-    if data.values.shape[0] != rule.n_nodes:
-        raise ValueError("boundary data length does not match the quadrature rule")
 
-    r_min, r_max = geometry.radius_bounds(spec)
     system = lsq.GrowingSystem(rule, spec.center, data.values, data.bc, data.sigma, L_max)
+    r_min, r_max = geometry.radius_bounds(spec)
     f_norm = float(np.sqrt(np.sum(rule.weights * data.values**2)))
 
     history: list[DegreeRecord] = []

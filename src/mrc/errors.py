@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the check for numeric input."""
+"""Exception types shared across the package, and the checks for numeric input."""
 
 import numbers
 
@@ -28,3 +28,14 @@ def require_number(name: str, value, kind: type = float):
     if not ok:
         raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     return kind(value)
+
+
+def require_point(name: str, value) -> tuple[float, float, float]:
+    """`value` as a point (x, y, z) of floats; ConfigError unless it is three numbers."""
+    try:
+        point = tuple(require_number(name, x) for x in value)
+    except (TypeError, ConfigError):
+        point = ()
+    if len(point) != 3:
+        raise ConfigError(f"{name} must be three numbers [x, y, z], got {value!r}")
+    return point

@@ -2,9 +2,9 @@
 
 An ExteriorField is the truncated expansion sum_k c_k h_k(x). Oracles are
 harmonic functions with closed forms (a point source q/|x-z| with z inside
-the surface, or an explicit band-limited expansion) used to manufacture
-boundary data and measure true errors. The point-source convention is
-q/|x-z| with no 4*pi factor.
+the surface, or an explicit band-limited expansion, itself an
+ExteriorField) used to manufacture boundary data and measure true errors.
+The point-source convention is q/|x-z| with no 4*pi factor.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry, harmonics
-from .errors import ConfigError
+from .errors import ConfigError, require_number, require_point
 from .lsq import DIRICHLET, NEUMANN, ROBIN, BC_KINDS
 
 
@@ -33,12 +33,14 @@ class ExteriorField:
     r_min: float
     r_max: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=float))
+        if harmonics.n_terms(self.ell_max) != self.coefficients.shape[0]:
+            raise ValueError("coefficient vector length is not a perfect square")
+
     @property
     def ell_max(self) -> int:
-        ell = math.isqrt(self.coefficients.shape[0]) - 1
-        if harmonics.n_terms(ell) != self.coefficients.shape[0]:
-            raise ValueError("coefficient vector length is not a perfect square")
-        return ell
+        return math.isqrt(self.coefficients.shape[0]) - 1
 
     def _exterior_points(self, x) -> tuple[np.ndarray, bool]:
         """(x as an (n, 3) array, whether x was one point); refuses points inside the inscribed sphere."""
@@ -63,8 +65,8 @@ class PointSource:
     """Harmonic oracle v(x) = q / |x - z| for a source z inside the surface."""
 
     def __init__(self, z, q: float = 1.0):
-        self.z = np.asarray(z, dtype=float)
-        self.q = float(q)
+        self.z = np.asarray(require_point("source z", z))
+        self.q = require_number("source q", q)
 
     def __call__(self, x) -> np.ndarray:
         d = np.atleast_2d(np.asarray(x, dtype=float)) - self.z
@@ -75,23 +77,10 @@ class PointSource:
         return -self.q * d / np.linalg.norm(d, axis=1)[:, None] ** 3
 
 
-class BandLimited:
-    """Harmonic oracle given by an explicit finite expansion about `center`."""
-
-    def __init__(self, coefficients, center=(0.0, 0.0, 0.0)):
-        self.coefficients = np.asarray(coefficients, dtype=float)
-        self.center = tuple(center)
-        ell = math.isqrt(self.coefficients.shape[0]) - 1
-        if harmonics.n_terms(ell) != self.coefficients.shape[0]:
-            raise ValueError("coefficient vector length is not a perfect square")
-        self.ell_max = ell
-
-    def __call__(self, x) -> np.ndarray:
-        return harmonics.eval_h(self.ell_max, np.atleast_2d(x), self.center) @ self.coefficients
-
-    def gradient(self, x) -> np.ndarray:
-        g = harmonics.eval_grad_h(self.ell_max, np.atleast_2d(x), self.center)
-        return np.einsum("ikj,k->ij", g, self.coefficients)
+def BandLimited(coefficients, center=(0.0, 0.0, 0.0)) -> ExteriorField:
+    """Harmonic oracle given by an explicit finite expansion about `center`:
+    an ExteriorField that may be evaluated anywhere but at the center."""
+    return ExteriorField(tuple(center), coefficients, 0.0, 0.0)
 
 
 @dataclass(frozen=True)

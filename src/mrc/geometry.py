@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, require_number
+from .errors import ConfigError, GeometryError, require_number, require_point
 
 _FD_STEP = 1e-6  # central-difference step (radians) for custom shapes
 
@@ -79,6 +79,7 @@ class SurfaceSpec:
     rho_fn: Callable | None = None  # custom shapes only
 
     def __post_init__(self):
+        object.__setattr__(self, "center", require_point("surface center", self.center))
         if self.kind == "custom":
             if self.rho_fn is None:
                 raise ConfigError("custom surface requires rho_fn")
@@ -139,7 +140,7 @@ def _preset_constructor(kind: str):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         params = dict(bound.arguments)
-        return SurfaceSpec(kind, params, tuple(params.pop("center")))
+        return SurfaceSpec(kind, params, params.pop("center"))
 
     construct.__name__, construct.__signature__ = kind, signature
     return staticmethod(construct)

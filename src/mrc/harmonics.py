@@ -11,7 +11,6 @@ to degree 64; no Condon-Shortley phase is applied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,19 +196,6 @@ def eval_grad_h(ell_max: int, x, center=(0.0, 0.0, 0.0)) -> np.ndarray:
     return grad[0] if single else grad
 
 
-@dataclass(frozen=True)
-class BasisEvaluation:
-    """Exterior harmonics tabulated at a fixed set of surface nodes.
-
-    values[i, k] = h_k(x_i); normal_derivatives[i, k] = n_i . grad h_k(x_i)
-    when built with gradients=True (required for Neumann/Robin assembly).
-    """
-
-    ell_max: int
-    values: np.ndarray
-    normal_derivatives: np.ndarray | None = None
-
-
 def node_blocks(ell_max: int, rule, center, gradients: bool = False):
     """Yield (h, n . grad h) at the rule's nodes, one (n_nodes, 2l+1) block
     per degree l = 0..ell_max; the second entry is None without gradients.
@@ -226,13 +212,3 @@ def node_blocks(ell_max: int, rule, center, gradients: bool = False):
             yield values, None
             continue
         yield values, np.einsum("ij,ikj->ik", rule.normals, _gradient_block(ell, blocks, r, frame))
-
-
-def basis_on_nodes(ell_max: int, rule, center, gradients: bool = False) -> BasisEvaluation:
-    """Tabulate h_lm (and optionally n . grad h_lm) at quadrature nodes."""
-    values, normal = zip(*node_blocks(ell_max, rule, center, gradients))
-    return BasisEvaluation(
-        ell_max=ell_max,
-        values=np.concatenate(values, axis=1),
-        normal_derivatives=np.concatenate(normal, axis=1) if gradients else None,
-    )

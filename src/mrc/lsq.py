@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .harmonics import BasisEvaluation, node_blocks, unflatten
+from .harmonics import node_blocks
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -27,11 +27,10 @@ SVD_RTOL = 1e-12  # default relative truncation of the singular values
 
 @dataclass(frozen=True)
 class LsqProblem:
-    """sqrt(w)-scaled design matrix, right-hand side, and column index map."""
+    """sqrt(w)-scaled design matrix and right-hand side."""
 
     matrix: np.ndarray  # (n_nodes, n_cols)
     rhs: np.ndarray  # (n_nodes,)
-    indices: tuple  # flat column k -> (ell, m)
     sqrt_w: np.ndarray  # (n_nodes,) row scaling, kept for diagnostics
 
 
@@ -46,54 +45,38 @@ class LsqSolution:
 
 
 def _columns(basis_values, normal_derivatives, bc: str, sigma: float, sqrt_w: np.ndarray) -> np.ndarray:
-    """The weighted design columns of `assemble`, for any run of basis columns."""
-    if bc not in BC_KINDS:
-        raise ValueError(f"unknown boundary condition {bc!r}")
+    """The weighted design columns of a run of basis columns."""
     if bc == DIRICHLET:
         cols = basis_values
-    elif normal_derivatives is None:
-        raise ValueError(f"{bc} assembly requires basis gradients")
     elif bc == NEUMANN:
         cols = normal_derivatives
-    elif sigma < 0:
-        raise ValueError("Robin coefficient must be >= 0")
     else:
         cols = normal_derivatives + sigma * basis_values
     return cols * sqrt_w[:, None]
 
 
-def _problem(matrix: np.ndarray, rhs: np.ndarray, sqrt_w: np.ndarray) -> LsqProblem:
-    indices = tuple(unflatten(k) for k in range(matrix.shape[1]))
-    return LsqProblem(matrix=matrix, rhs=rhs, indices=indices, sqrt_w=sqrt_w)
-
-
-def assemble(rule, basis: BasisEvaluation, values: np.ndarray, bc: str = DIRICHLET,
-             sigma: float = 0.0) -> LsqProblem:
-    """Build the weighted system for the given boundary-condition kind.
+class GrowingSystem:
+    """The weighted system for the given boundary-condition kind and
+    degrees 0..L, grown as L rises.
 
     Columns: Dirichlet h_k(x_i); Neumann n_i . grad h_k(x_i); Robin
-    n_i . grad h_k(x_i) + sigma * h_k(x_i). All rows carry sqrt(w_i).
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != rule.n_nodes or basis.values.shape[0] != rule.n_nodes:
-        raise ValueError("node count mismatch between rule, basis, and data")
-    sw = np.sqrt(rule.weights)
-    return _problem(_columns(basis.values, basis.normal_derivatives, bc, sigma, sw), values * sw, sw)
-
-
-class GrowingSystem:
-    """The system of `assemble` for degrees 0..L, grown as L rises.
-
-    Each `extend` tabulates only the degrees not seen yet and appends their
-    weighted columns, so a loop over nested degrees builds every column
-    once. Each column equals the one `assemble` builds, bit for bit.
+    n_i . grad h_k(x_i) + sigma * h_k(x_i). All rows carry sqrt(w_i). Each
+    `extend` tabulates only the degrees not seen yet and appends their
+    columns, so a loop over nested degrees builds every column once.
     """
 
     def __init__(self, rule, center, values: np.ndarray, bc: str, sigma: float, ell_max: int):
+        if bc not in BC_KINDS:
+            raise ValueError(f"unknown boundary condition {bc!r}")
+        if bc == ROBIN and sigma < 0:
+            raise ValueError("Robin coefficient must be >= 0")
+        values = np.asarray(values, dtype=float)
+        if values.shape[0] != rule.n_nodes:
+            raise ValueError("boundary data length does not match the quadrature rule")
         self._bc, self._sigma = bc, sigma
         self._blocks = node_blocks(ell_max, rule, center, gradients=bc != DIRICHLET)
         self._sqrt_w = np.sqrt(rule.weights)
-        self._rhs = np.asarray(values, dtype=float) * self._sqrt_w
+        self._rhs = values * self._sqrt_w
         self._matrix = np.empty((rule.n_nodes, 0))
         self._ell_max = -1
 
@@ -103,7 +86,7 @@ class GrowingSystem:
                for v, dn in itertools.islice(self._blocks, ell_max - self._ell_max)]
         self._matrix = np.concatenate([self._matrix, *new], axis=1)
         self._ell_max = ell_max
-        return _problem(self._matrix, self._rhs, self._sqrt_w)
+        return LsqProblem(self._matrix, self._rhs, self._sqrt_w)
 
 
 def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:

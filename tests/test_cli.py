@@ -297,6 +297,16 @@ def _edit(doc, dotted, value):
         "outputs-reprot": {"outputs.reprot": "r.json"},
         "top-level-bogus": {"bogus": 1},
         "nan-source": {"data": dict(_POINT, z=[float("nan"), 0.0, 0.0])},
+        "string-z": {"data": dict(_POINT, z="abc")},
+        "two-element-z": {"data": dict(_POINT, z=[0.3, 0.0])},
+        "string-q": {"data": dict(_POINT, q="2")},
+        "string-center": {"surface.center": "abc"},
+        "m-above-ell": {"data.coefficients": [[1, 3, 1.0]]},
+        "ell-above-ELL_MAX": {"data.coefficients": [[65, 0, 1.0]]},
+        "two-entry-coefficient": {"data.coefficients": [[1, 0]]},
+        "numeric-path": {"data": {"type": "tabulated", "path": 5}},
+        "field-radius-inside-surface": {"outputs.field_radii": [0.5]},
+        "string-field-radius": {"outputs.field_radii": ["x"]},
     }.items()
 ])
 def test_bad_config_value_is_config_error(tmp_path, edits):

@@ -204,15 +204,14 @@ def test_relative_residual_reported():
 @pytest.mark.parametrize("steps", [{"L_start": 0}, {"L_step": 2}], ids=["L_start=0", "L_step=2"])
 def test_growing_system_matches_rebuild(bc, sigma, steps):
     # the loop grows one design matrix; each degree must solve exactly the
-    # system a from-scratch tabulation and assembly gives
+    # system a fresh one-step build for that degree gives
     spec = G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3)
     rule = G.build_quadrature(spec, 24, 48)
     data = F.boundary_data_from_oracle(rule, F.PointSource([0.3, 0.0, 0.0]), bc, sigma)
     report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-14, L_max=12, **steps))
     assert [h.L for h in report.history][:2] == [steps.get("L_start", 2), steps.get("L_start", 2) + steps.get("L_step", 1)]
     for h in report.history:
-        basis = H.basis_on_nodes(h.L, rule, spec.center, gradients=bc != "dirichlet")
-        sol = lsq.solve(lsq.assemble(rule, basis, data.values, bc, sigma))
+        sol = lsq.solve(lsq.GrowingSystem(rule, spec.center, data.values, bc, sigma, h.L).extend(h.L))
         assert (h.residual_l2, h.rank, h.cond_estimate) == (sol.residual_l2, sol.rank, sol.cond_estimate)
         field = F.ExteriorField(spec.center, sol.coefficients, report.field.r_min, report.field.r_max)
         assert h.sup_residual == pytest.approx(F.sup_residual(rule, field, data), rel=1e-8)

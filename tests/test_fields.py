@@ -113,6 +113,13 @@ def test_error_on_sphere_equals_explicit_tail():
     assert err.l2 == pytest.approx(tail_norm, rel=1e-10, abs=1e-14)
 
 
+def test_non_square_coefficients_rejected_at_construction():
+    with pytest.raises(ValueError):
+        F.ExteriorField((0.0, 0.0, 0.0), np.ones(5), 1.0, 1.0)
+    with pytest.raises(ValueError):
+        F.BandLimited(np.ones(5))
+
+
 def test_error_sphere_radius_too_small():
     field = make_field([1.0], r_min=1.0, r_max=1.5)
     with pytest.raises(ValueError):

@@ -13,18 +13,25 @@ def sphere_rule():
     return G.build_quadrature(G.SurfaceSpec.sphere(1.0), 24, 48)
 
 
+def system(rule, L, values, bc=lsq.DIRICHLET, sigma=0.0):
+    """The weighted system for degrees 0..L about the origin, built in one step."""
+    return lsq.GrowingSystem(rule, (0, 0, 0), values, bc, sigma, L).extend(L)
+
+
+def basis_values(rule, L):
+    """The unweighted h_k at the nodes, degrees 0..L."""
+    return np.concatenate([h for h, _ in H.node_blocks(L, rule, (0, 0, 0))], axis=1)
+
+
 def test_dirichlet_columns_orthonormal(sphere_rule):
-    basis = H.basis_on_nodes(2, sphere_rule, (0, 0, 0))
-    problem = lsq.assemble(sphere_rule, basis, np.zeros(sphere_rule.n_nodes))
-    A = problem.matrix
+    A = system(sphere_rule, 2, np.zeros(sphere_rule.n_nodes)).matrix
     assert A.shape[1] == 9
     assert np.max(np.abs(A.T @ A - np.eye(9))) <= 1e-12
 
 
 def test_neumann_columns_radial_homogeneity(sphere_rule):
     # on the unit sphere the normal is radial: n.grad h_lm = -(l+1) Y_lm
-    basis = H.basis_on_nodes(1, sphere_rule, (0, 0, 0), gradients=True)
-    problem = lsq.assemble(sphere_rule, basis, np.zeros(sphere_rule.n_nodes), lsq.NEUMANN)
+    problem = system(sphere_rule, 1, np.zeros(sphere_rule.n_nodes), lsq.NEUMANN)
     (Y,) = H.ylm(1, sphere_rule.theta, sphere_rule.phi)
     sw = np.sqrt(sphere_rule.weights)
     ells = H.degrees(1)
@@ -33,32 +40,22 @@ def test_neumann_columns_radial_homogeneity(sphere_rule):
 
 
 def test_robin_sigma_zero_equals_neumann(sphere_rule):
-    basis = H.basis_on_nodes(3, sphere_rule, (0, 0, 0), gradients=True)
     f = np.cos(sphere_rule.theta)
-    p_neu = lsq.assemble(sphere_rule, basis, f, lsq.NEUMANN)
-    p_rob = lsq.assemble(sphere_rule, basis, f, lsq.ROBIN, sigma=0.0)
+    p_neu = system(sphere_rule, 3, f, lsq.NEUMANN)
+    p_rob = system(sphere_rule, 3, f, lsq.ROBIN, sigma=0.0)
     assert np.array_equal(p_neu.matrix, p_rob.matrix)
     assert np.array_equal(p_neu.rhs, p_rob.rhs)
 
 
-def test_gradients_required_for_neumann(sphere_rule):
-    basis = H.basis_on_nodes(2, sphere_rule, (0, 0, 0))
-    with pytest.raises(ValueError):
-        lsq.assemble(sphere_rule, basis, np.zeros(sphere_rule.n_nodes), lsq.NEUMANN)
-
-
 def test_node_count_mismatch(sphere_rule):
-    basis = H.basis_on_nodes(2, sphere_rule, (0, 0, 0))
     with pytest.raises(ValueError):
-        lsq.assemble(sphere_rule, basis, np.zeros(7))
+        lsq.GrowingSystem(sphere_rule, (0, 0, 0), np.zeros(7), lsq.DIRICHLET, 0.0, 2)
 
 
 def test_projection_onto_orthonormal_column(sphere_rule):
-    basis = H.basis_on_nodes(2, sphere_rule, (0, 0, 0))
     (Y,) = H.ylm(2, sphere_rule.theta, sphere_rule.phi)
     f = Y[:, H.flatten(1, 0)]
-    problem = lsq.assemble(sphere_rule, basis, f)
-    sol = lsq.solve(problem)
+    sol = lsq.solve(system(sphere_rule, 2, f))
     expected = np.zeros(9)
     expected[H.flatten(1, 0)] = 1.0
     assert np.allclose(sol.coefficients, expected, atol=1e-12)
@@ -66,8 +63,7 @@ def test_projection_onto_orthonormal_column(sphere_rule):
 
 
 def test_zero_rhs(sphere_rule):
-    basis = H.basis_on_nodes(3, sphere_rule, (0, 0, 0))
-    sol = lsq.solve(lsq.assemble(sphere_rule, basis, np.zeros(sphere_rule.n_nodes)))
+    sol = lsq.solve(system(sphere_rule, 3, np.zeros(sphere_rule.n_nodes)))
     assert np.all(sol.coefficients == 0.0)
     assert sol.residual_l2 == 0.0
 
@@ -85,26 +81,24 @@ def test_planted_solution_recovery():
     Al = A.astype(np.longdouble)
     oracle = np.linalg.solve((Al.T @ Al).astype(float), (Al.T @ b.astype(np.longdouble)).astype(float))
 
-    problem = lsq.LsqProblem(matrix=A, rhs=b, indices=(), sqrt_w=np.ones(200))
+    problem = lsq.LsqProblem(matrix=A, rhs=b, sqrt_w=np.ones(200))
     sol = lsq.solve(problem)
     assert np.max(np.abs(sol.coefficients - c_star)) / np.max(np.abs(c_star)) <= 1e-10
     assert np.max(np.abs(oracle - c_star)) / np.max(np.abs(c_star)) <= 1e-8
 
 
 def test_scaling_equivariance(sphere_rule):
-    basis = H.basis_on_nodes(4, sphere_rule, (0, 0, 0))
     f = np.exp(np.cos(sphere_rule.theta))
     beta = -3.5
-    s1 = lsq.solve(lsq.assemble(sphere_rule, basis, f))
-    s2 = lsq.solve(lsq.assemble(sphere_rule, basis, beta * f))
+    s1 = lsq.solve(system(sphere_rule, 4, f))
+    s2 = lsq.solve(system(sphere_rule, 4, beta * f))
     assert np.allclose(s2.coefficients, beta * s1.coefficients, rtol=1e-12, atol=1e-14)
     assert s2.residual_l2 == pytest.approx(abs(beta) * s1.residual_l2, rel=1e-12)
 
 
 def test_truncation_safety(sphere_rule):
-    basis = H.basis_on_nodes(6, sphere_rule, (0, 0, 0))
     f = 1.0 / np.linalg.norm(sphere_rule.points - np.array([0.3, 0.1, 0.0]), axis=1)
-    problem = lsq.assemble(sphere_rule, basis, f)
+    problem = system(sphere_rule, 6, f)
     loose = lsq.solve(problem, svd_rtol=1e-8)
     tight = lsq.solve(problem, svd_rtol=1e-12)
     b_norm = np.linalg.norm(problem.rhs)
@@ -112,28 +106,25 @@ def test_truncation_safety(sphere_rule):
 
 
 def test_residual_recomputed_independently(sphere_rule):
-    basis = H.basis_on_nodes(5, sphere_rule, (0, 0, 0))
     f = np.sin(2 * sphere_rule.theta) * np.cos(sphere_rule.phi)
-    problem = lsq.assemble(sphere_rule, basis, f)
-    sol = lsq.solve(problem)
-    fitted = basis.values @ sol.coefficients
+    sol = lsq.solve(system(sphere_rule, 5, f))
+    fitted = basis_values(sphere_rule, 5) @ sol.coefficients
     independent = np.sqrt(np.sum(sphere_rule.weights * (fitted - f) ** 2))
     assert independent == pytest.approx(sol.residual_l2, rel=1e-12, abs=1e-15)
 
 
 def test_weighted_functional_matches_l2_norm(sphere_rule):
     # ||A c - b||_2 is the discrete L2(S) misfit by the sqrt(w) scaling
-    basis = H.basis_on_nodes(3, sphere_rule, (0, 0, 0))
     f = sphere_rule.points[:, 2] ** 2
-    problem = lsq.assemble(sphere_rule, basis, f)
+    problem = system(sphere_rule, 3, f)
     c = np.ones(H.n_terms(3))
     lhs = np.linalg.norm(problem.matrix @ c - problem.rhs)
-    rhs = np.sqrt(np.sum(sphere_rule.weights * (basis.values @ c - f) ** 2))
+    rhs = np.sqrt(np.sum(sphere_rule.weights * (basis_values(sphere_rule, 3) @ c - f) ** 2))
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def test_degenerate_system_raises():
-    problem = lsq.LsqProblem(matrix=np.zeros((10, 3)), rhs=np.ones(10), indices=(), sqrt_w=np.ones(10))
+    problem = lsq.LsqProblem(matrix=np.zeros((10, 3)), rhs=np.ones(10), sqrt_w=np.ones(10))
     with pytest.raises(SolverError):
         lsq.solve(problem)
 
@@ -142,7 +133,7 @@ def test_underdetermined_warns_and_min_norm():
     rng = np.random.default_rng(2)
     A = rng.normal(size=(5, 8))
     b = rng.normal(size=5)
-    problem = lsq.LsqProblem(matrix=A, rhs=b, indices=(), sqrt_w=np.ones(5))
+    problem = lsq.LsqProblem(matrix=A, rhs=b, sqrt_w=np.ones(5))
     with pytest.warns(UserWarning):
         sol = lsq.solve(problem)
     # minimum-norm solution matches numpy's lstsq
@@ -154,14 +145,13 @@ def test_residual_monotone_in_nested_bases(sphere_rule):
     f = 1.0 / np.linalg.norm(sphere_rule.points - np.array([0.2, 0.2, 0.1]), axis=1)
     residuals = []
     for L in range(6):
-        basis = H.basis_on_nodes(L, sphere_rule, (0, 0, 0))
-        residuals.append(lsq.solve(lsq.assemble(sphere_rule, basis, f)).residual_l2)
+        residuals.append(lsq.solve(system(sphere_rule, L, f)).residual_l2)
     assert all(r2 <= r1 * (1 + 1e-12) for r1, r2 in zip(residuals, residuals[1:]))
 
 
 def test_lapack_failure_is_solver_error(sphere_rule):
     # a NaN entry makes the SVD fail to converge; that is a solver error
-    problem = lsq.assemble(sphere_rule, H.basis_on_nodes(2, sphere_rule, (0, 0, 0)), np.ones(sphere_rule.n_nodes))
+    problem = system(sphere_rule, 2, np.ones(sphere_rule.n_nodes))
     problem.matrix[0, 0] = np.nan
     with pytest.raises(SolverError):
         lsq.solve(problem)
