@@ -67,30 +67,16 @@ def _write_csv(path: Path, columns: list[str], rows: list[list]) -> None:
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def _output_paths(outputs: dict, out_dir: Path | None) -> dict:
-    """Each output file of a solve; a relative name is taken from out_dir."""
-    base = out_dir if out_dir is not None else Path.cwd()
-    return {key: base / outputs.get(key, name) for key, name in OUTPUT_FILES.items()}
-
-
-def execute_run(cfg: RunConfig, base_dir: Path | None = None):
+def execute_run(cfg: RunConfig):
     """Run one solve; returns (report, field_error_rows)."""
-    spec = cfg.surface_spec()
-    rule = cfg.quadrature_rule(spec)
-    oracle = cfg.oracle(spec)
-    radii = cfg.field_radii(spec) if oracle is not None else []
-    data = cfg.boundary_data(spec, rule, base_dir)
-    report = driver.run_mrc(spec, rule, data, cfg.mrc_config())
-
-    error_rows = []
-    for R in radii:
-        err = fields.error_on_enclosing_sphere(report.field, oracle, R)
-        error_rows.append([R, err.l2, err.sup])
-    return report, error_rows
+    rule = cfg.quadrature_rule()
+    report = driver.run_mrc(cfg.spec, rule, cfg.boundary_data(rule), cfg.mrc)
+    errors = [fields.error_on_enclosing_sphere(report.field, cfg.oracle, R) for R in cfg.field_radii]
+    return report, [[R, err.l2, err.sup] for R, err in zip(cfg.field_radii, errors)]
 
 
-def write_reports(cfg: RunConfig, report, error_rows, out_dir: Path | None, verbose: bool) -> None:
-    paths = _output_paths(cfg.outputs, out_dir)
+def write_reports(cfg: RunConfig, report, error_rows, out_dir: Path, verbose: bool) -> None:
+    paths = {key: out_dir / cfg.outputs.get(key, name) for key, name in OUTPUT_FILES.items()}
     for path in paths.values():
         path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -116,29 +102,28 @@ def write_reports(cfg: RunConfig, report, error_rows, out_dir: Path | None, verb
 
 def cmd_solve(args) -> int:
     cfg = RunConfig.load(args.config)
-    base_dir = Path(args.config).parent
-    out_dir = Path(args.out) if args.out else None
-    report, error_rows = execute_run(cfg, base_dir)
+    out_dir = Path(args.out) if args.out else Path.cwd()
+    report, error_rows = execute_run(cfg)
     write_reports(cfg, report, error_rows, out_dir, args.verbose)
     return EXIT_OK if report.termination == driver.CONVERGED else EXIT_NONCONVERGED
 
 
 def _set_by_path(doc: dict, dotted: str, value) -> None:
-    keys = dotted.split(".")
-    node = doc
-    for k in keys[:-1]:
-        node = node.setdefault(k, {})
-    node[keys[-1]] = value
+    *path, last = dotted.split(".")
+    for key in path:
+        doc = doc.setdefault(key, {})
+        if not isinstance(doc, dict):
+            raise ConfigError(f"grid path {dotted!r} runs through {key!r}, which is not an object")
+    doc[last] = value
 
 
-def _sweep_cell(base_doc: dict, keys: list[str], values: tuple, base_dir: Path | None) -> list:
+def _sweep_cell(base_doc: dict, keys: list[str], values: tuple, base_dir: Path) -> list:
     doc = json.loads(json.dumps(base_doc))
-    for key, value in zip(keys, values):
-        _set_by_path(doc, key, value)
     row = list(values)
     try:
-        cfg = RunConfig.from_dict(doc, base_dir)
-        report, error_rows = execute_run(cfg, base_dir)
+        for key, value in zip(keys, values):
+            _set_by_path(doc, key, value)
+        report, error_rows = execute_run(RunConfig.from_dict(doc, base_dir))
         sr_error = error_rows[0][1] if error_rows else ""
         row += [report.termination, report.chosen_L if report.chosen_L is not None else "",
                 report.final_residual, sr_error, ""]
@@ -148,23 +133,19 @@ def _sweep_cell(base_doc: dict, keys: list[str], values: tuple, base_dir: Path |
 
 
 def cmd_sweep(args) -> int:
-    cfg = RunConfig.load(args.config)
+    cfg = RunConfig.load(args.config)  # also checks the grid's cell count
     if cfg.grid is None:
         raise ConfigError("sweep requires a 'grid' section in the config")
-    base_dir = Path(args.config).parent
     out_dir = Path(args.out) if args.out else Path.cwd()
     out_dir.mkdir(parents=True, exist_ok=True)
 
     keys = sorted(cfg.grid)
-    cells = list(itertools.product(*(cfg.grid[k] for k in keys)))
-    if len(cells) > 10_000 and cells != [()]:
-        raise ConfigError(f"sweep grid has {len(cells)} cells (limit 10000)")
-
-    base_doc = cfg.to_dict()
-    base_doc.pop("grid", None)
+    base_doc = {key: value for key, value in cfg.to_dict().items() if key != "grid"}
     columns = keys + ["termination", "chosen_L", "final_residual", "sr_error", "error"]
 
-    rows = [_sweep_cell(base_doc, keys, values, base_dir) for values in cells] if keys else []
+    base_dir = Path(args.config).parent
+    rows = [_sweep_cell(base_doc, keys, values, base_dir)
+            for values in itertools.product(*(cfg.grid[k] for k in keys))] if keys else []
 
     _write_csv(out_dir / cfg.outputs.get("sweep_csv", "sweep.csv"), columns, rows)
     return EXIT_OK

@@ -1,7 +1,11 @@
 """Run configuration: a single JSON document describing one solve.
 
-Schema ("grid" turns a run into a sweep, see cli); a key outside it, or a
-value of the wrong type, is a ConfigError:
+RunConfig.from_dict runs every check before any quadrature is built (only
+tabulated samples wait for the nodes); each failure is a ConfigError (exit
+2): a key outside the schema below, a value of the wrong type or range, a
+point source outside the inscribed sphere, a field radius inside the
+surface. "grid" turns a run into a sweep of at most 10000 cells (see cli);
+the document without it must itself be a valid run.
 
     {
       "surface": {"preset": "sphere" | "spheroid" | "cosine_bump",
@@ -32,9 +36,11 @@ interpolation is attempted.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
-from dataclasses import asdict, dataclass, fields as dc_fields
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,31 +65,66 @@ def _section(value, name: str, keys=None) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    surface: dict
-    bc: dict
-    data: dict
-    mrc: dict
-    quadrature: object  # "auto" or {"n_theta", "n_phi"}
+    """One parsed run: every piece a solve needs, built and checked at load."""
+
+    spec: geometry.SurfaceSpec
+    bc: str
+    sigma: float
+    oracle: object | None  # the exact solution about the surface center; None for tabulated data
+    samples: Path | None  # the tabulated samples file
+    mrc: driver.MrcConfig
+    quadrature: tuple[int, int] | str  # (n_theta, n_phi), or "auto"
+    field_radii: list[float]  # empty without an oracle
     outputs: dict
-    grid: dict | None = None
+    grid: dict | None
+    document: dict  # the config with its defaults filled in
 
     @staticmethod
     def from_dict(doc: dict, base_dir: Path | None = None) -> "RunConfig":
-        doc = _section(doc, "config", [f.name for f in dc_fields(RunConfig)])
+        doc = _section(doc, "config", ("surface", "bc", "data", "mrc", "quadrature", "outputs", "grid"))
         for key in ("surface", "data", "mrc"):
             if key not in doc:
                 raise ConfigError(f"config is missing required section {key!r}")
-        cfg = RunConfig(
+        doc = dict(
             surface=_section(doc["surface"], "surface", ("preset", "params", "center")),
             bc=_section(doc.get("bc", {"kind": DIRICHLET}), "bc", ("kind", "sigma")),
             data=_section(doc["data"], "data", ("type", "z", "q", "coefficients", "path")),
             mrc=_section(doc["mrc"], "mrc"),
             quadrature=doc.get("quadrature", "auto"),
             outputs=_section(doc.get("outputs", {}), "outputs", [*OUTPUT_FILES, "field_radii", "sweep_csv"]),
-            grid=_section(doc["grid"], "grid") if "grid" in doc else None,
+            **({"grid": _section(doc["grid"], "grid")} if "grid" in doc else {}),
         )
-        cfg.validate(base_dir)
-        return cfg
+        surface, bc, quadrature, grid = doc["surface"], doc["bc"], doc["quadrature"], doc.get("grid", {})
+        # the spec checks the center, the preset and its parameters against geometry.PRESETS
+        spec = geometry.SurfaceSpec(surface.get("preset"), surface.get("params", {}),
+                                    surface.get("center", (0.0, 0.0, 0.0)))
+        if bc.get("kind") not in BC_KINDS:
+            raise ConfigError(f"unknown boundary condition {bc.get('kind')!r}")
+        sigma = require_number("bc sigma", bc.get("sigma", 0.0))
+        if not sigma >= 0:
+            raise ConfigError("Robin coefficient sigma must be >= 0")
+        try:
+            mrc = driver.MrcConfig(**doc["mrc"])
+        except TypeError as exc:  # an unknown key, or no epsilon
+            raise ConfigError(f"mrc section: {exc}") from exc
+        if quadrature != "auto":
+            if not isinstance(quadrature, dict) or set(quadrature) != {"n_theta", "n_phi"}:
+                raise ConfigError('quadrature must be "auto" or {"n_theta": ..., "n_phi": ...}')
+            quadrature = tuple(require_number(f"quadrature {k}", quadrature[k], int) for k in ("n_theta", "n_phi"))
+        for key, vals in grid.items():
+            if not isinstance(vals, list):
+                raise ConfigError(f"grid entry {key!r} must be a list of values")
+        n_cells = math.prod(len(vals) for vals in grid.values())
+        if n_cells > 10_000:
+            raise ConfigError(f"sweep grid has {n_cells} cells (limit 10000)")
+        # the checks that need the surface's radius scan come last
+        oracle, samples = _data_source(doc["data"], spec, base_dir)
+        return RunConfig(
+            spec=spec, bc=bc["kind"], sigma=sigma, oracle=oracle, samples=samples, mrc=mrc,
+            quadrature=quadrature,
+            field_radii=_field_radii(doc["outputs"], spec) if oracle is not None else [],
+            outputs=doc["outputs"], grid=doc.get("grid"), document=doc,
+        )
 
     @staticmethod
     def load(path) -> "RunConfig":
@@ -96,98 +137,50 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """The config as the document it was read from (grid only if present)."""
-        return {key: value for key, value in asdict(self).items() if value is not None}
+        return copy.deepcopy(self.document)
 
-    # -- validation ----------------------------------------------------
-
-    def validate(self, base_dir: Path | None = None) -> None:
-        spec = self.surface_spec()  # checks the center, the preset and its parameters against geometry.PRESETS
-
-        if self.bc.get("kind") not in BC_KINDS:
-            raise ConfigError(f"unknown boundary condition {self.bc.get('kind')!r}")
-        if not self.sigma >= 0:
-            raise ConfigError("Robin coefficient sigma must be >= 0")
-
-        dtype = self.data.get("type")
-        if dtype not in ("point_source", "band_limited", "tabulated"):
-            raise ConfigError(f"unknown data type {dtype!r}")
-        if dtype == "tabulated" and not self._tabulated_path(base_dir).is_file():
-            raise ConfigError(f"tabulated data file not found: {self._tabulated_path(base_dir)}")
-
-        # constructing the oracle and MrcConfig runs their type and range checks
-        self.oracle(spec)
-        self.mrc_config()
-
-        if self.quadrature != "auto":
-            if not isinstance(self.quadrature, dict) or set(self.quadrature) != {"n_theta", "n_phi"}:
-                raise ConfigError('quadrature must be "auto" or {"n_theta": ..., "n_phi": ...}')
-            for key, n in self.quadrature.items():
-                require_number(f"quadrature {key}", n, int)
-
-        if self.grid is not None:
-            for key, vals in self.grid.items():
-                if not isinstance(vals, list):
-                    raise ConfigError(f"grid entry {key!r} must be a list of values")
-
-    # -- construction of the run pieces ---------------------------------
-
-    def surface_spec(self) -> geometry.SurfaceSpec:
-        return geometry.SurfaceSpec(
-            self.surface.get("preset"),
-            self.surface.get("params", {}),
-            self.surface.get("center", (0.0, 0.0, 0.0)),
-        )
-
-    @property
-    def sigma(self) -> float:
-        return require_number("bc sigma", self.bc.get("sigma", 0.0))
-
-    def mrc_config(self) -> driver.MrcConfig:
-        try:
-            return driver.MrcConfig(**self.mrc)
-        except TypeError as exc:  # an unknown key, or no epsilon
-            raise ConfigError(f"mrc section: {exc}") from exc
-
-    def quadrature_rule(self, spec: geometry.SurfaceSpec) -> geometry.QuadratureRule:
+    def quadrature_rule(self) -> geometry.QuadratureRule:
         if self.quadrature == "auto":
-            return geometry.auto_quadrature(spec, self.mrc_config().L_max)
-        return geometry.build_quadrature(spec, int(self.quadrature["n_theta"]), int(self.quadrature["n_phi"]))
+            return geometry.auto_quadrature(self.spec, self.mrc.L_max)
+        return geometry.build_quadrature(self.spec, *self.quadrature)
 
-    def oracle(self, spec: geometry.SurfaceSpec):
-        """The exact-solution oracle about the surface center, or None for tabulated data."""
-        d = self.data
-        if d["type"] == "point_source":
-            return fields.PointSource(d.get("z"), d.get("q", 1.0))
-        if d["type"] == "band_limited":
-            return fields.BandLimited(_band_limited_coefficients(d.get("coefficients")), spec.center)
-        return None
+    def boundary_data(self, rule) -> fields.BoundaryData:
+        if self.oracle is not None:
+            return fields.boundary_data_from_oracle(rule, self.oracle, self.bc, self.sigma)
+        return boundary_data_from_csv(self.samples, rule, self.bc, self.sigma)
 
-    def field_radii(self, spec: geometry.SurfaceSpec) -> list[float]:
-        """The radii of the field-error spheres: outputs.field_radii, each at
-        least the enclosing radius, or by default twice that radius."""
-        r_max = geometry.enclosing_radius(spec)
-        radii = self.outputs.get("field_radii", [2.0 * r_max])
-        if not isinstance(radii, list):
-            raise ConfigError(f"outputs field_radii must be a list of radii, got {radii!r}")
-        radii = [require_number("outputs field_radii entry", R) for R in radii]
-        if not all(R >= r_max for R in radii):
-            raise ConfigError(f"outputs field_radii {radii} must enclose the surface (enclosing radius {r_max!r})")
-        return radii
 
-    def boundary_data(self, spec, rule, base_dir: Path | None = None) -> fields.BoundaryData:
-        oracle = self.oracle(spec)
-        if oracle is not None:
-            if isinstance(oracle, fields.PointSource):
-                fields.interior_source_or_raise(spec, oracle.z)
-            return fields.boundary_data_from_oracle(rule, oracle, self.bc["kind"], self.sigma)
-        return boundary_data_from_csv(self._tabulated_path(base_dir), rule, self.bc["kind"], self.sigma)
+def _data_source(data: dict, spec: geometry.SurfaceSpec, base_dir: Path | None):
+    """(oracle, None) for closed-form data, or (None, samples file, relative to base_dir)."""
+    dtype = data.get("type")
+    if dtype == "point_source":
+        oracle = fields.PointSource(data.get("z"), data.get("q", 1.0))
+        fields.interior_source_or_raise(spec, oracle.z)
+        return oracle, None
+    if dtype == "band_limited":
+        return fields.BandLimited(_band_limited_coefficients(data.get("coefficients")), spec.center), None
+    if dtype != "tabulated":
+        raise ConfigError(f"unknown data type {dtype!r}")
+    path = data.get("path", "")
+    if not isinstance(path, str):
+        raise ConfigError(f"tabulated data path must be a string, got {path!r}")
+    path = (base_dir or Path()) / path
+    if not path.is_file():
+        raise ConfigError(f"tabulated data file not found: {path}")
+    return None, path
 
-    def _tabulated_path(self, base_dir: Path | None) -> Path:
-        """The samples file; a relative path is taken from base_dir."""
-        path = self.data.get("path", "")
-        if not isinstance(path, str):
-            raise ConfigError(f"tabulated data path must be a string, got {path!r}")
-        return (base_dir or Path()) / path
+
+def _field_radii(outputs: dict, spec: geometry.SurfaceSpec) -> list[float]:
+    """The radii of the field-error spheres: outputs.field_radii, each at
+    least the enclosing radius, or by default twice that radius."""
+    r_max = geometry.enclosing_radius(spec)
+    radii = outputs.get("field_radii", [2.0 * r_max])
+    if not isinstance(radii, list):
+        raise ConfigError(f"outputs field_radii must be a list of radii, got {radii!r}")
+    radii = [require_number("outputs field_radii entry", R) for R in radii]
+    if not all(R >= r_max for R in radii):
+        raise ConfigError(f"outputs field_radii {radii} must enclose the surface (enclosing radius {r_max!r})")
+    return radii
 
 
 def _band_limited_coefficients(entries) -> np.ndarray:

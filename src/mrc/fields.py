@@ -162,9 +162,7 @@ def sup_residual(rule, field: ExteriorField, data: BoundaryData) -> float:
     return float(np.max(np.abs(_trace(field, rule, data.bc, data.sigma) - data.values)))
 
 
-def interior_source_or_raise(spec, z) -> np.ndarray:
+def interior_source_or_raise(spec, z) -> None:
     """Validate that z lies strictly inside the inscribed sphere of spec."""
-    z = np.asarray(z, dtype=float)
-    if np.linalg.norm(z - np.asarray(spec.center)) >= geometry.inscribed_radius(spec):
+    if np.linalg.norm(np.asarray(z, dtype=float) - np.asarray(spec.center)) >= geometry.inscribed_radius(spec):
         raise ConfigError("source point must lie inside the inscribed sphere")
-    return z

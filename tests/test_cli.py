@@ -8,6 +8,7 @@ import pytest
 from mrc import cli
 from mrc import geometry as G
 from mrc.config import RunConfig
+from mrc.errors import ConfigError
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -353,3 +354,37 @@ def test_one_radius_scan_per_solve(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, base_config(data=dict(_POINT), mrc={"epsilon": 1e-6, "L_max": 12}))
     assert cli.main(["solve", str(cfg), "--out", str(tmp_path)]) == 0
     assert len(scans) == 1
+
+
+def test_sweep_grid_path_through_non_object_is_row_error(tmp_path):
+    doc = base_config()
+    doc["grid"] = {"surface.preset.x": [1]}  # "sphere" is a string, not an object
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["sweep", str(cfg), "--out", str(tmp_path)]) == 0
+    (row,) = read_csv(tmp_path / "sweep.csv")
+    assert row["termination"] == "error"
+    assert row["error"].startswith("ConfigError") and "surface.preset.x" in row["error"]
+
+
+def test_sweep_cell_count_checked_before_the_product(tmp_path):
+    doc = base_config()
+    doc["grid"] = {f"k{i}": list(range(100)) for i in range(8)}  # 10**16 cells
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["sweep", str(cfg), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("edits", [
+    {"data": dict(_POINT, z=[2.0, 0.0, 0.0])},
+    {"outputs.field_radii": [0.5]},
+], ids=["exterior-source", "field-radius-inside-surface"])
+def test_source_and_field_radii_checked_at_load(monkeypatch, edits):
+    def no_rule(*args, **kwargs):
+        raise AssertionError("a quadrature rule was built")
+
+    monkeypatch.setattr(G, "build_quadrature", no_rule)
+    doc = base_config()
+    for dotted, value in edits.items():
+        _edit(doc, dotted, value)
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict(doc)
