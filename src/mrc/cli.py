@@ -2,10 +2,10 @@
 
 Outputs are machine-readable: a JSON solve report, a CSV convergence
 history, and (when an exact oracle is configured) a CSV of field errors on
-enclosing spheres. All floats are printed with 17 significant digits so
-reports are byte-reproducible. Exit codes: 0 success, 2 config error,
-3 geometry error, 4 solver degeneracy, 5 nonconvergence (report still
-written).
+enclosing spheres. Every float is printed in its shortest round-trip form
+(as the json module writes it), so reports are byte-reproducible. Exit
+codes: 0 success, 2 config error, 3 geometry error, 4 solver degeneracy,
+5 nonconvergence (report still written).
 """
 
 from __future__ import annotations
@@ -33,31 +33,9 @@ FIELD_ERROR_COLUMNS = ["R", "l2_error", "sup_error"]
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
     if isinstance(value, (list, tuple)):
         return json.dumps(value, separators=(",", ":"))
     return str(value)
-
-
-def _dumps_17g(obj, indent: int = 0) -> str:
-    """JSON text with every float printed to 17 significant digits."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_dumps_17g(v, indent + 1)}' for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}  {_dumps_17g(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, float):
-        return format(obj, ".17g")
-    return json.dumps(obj)
 
 
 def _write_csv(path: Path, columns: list[str], rows: list[list]) -> None:
@@ -82,7 +60,7 @@ def write_reports(cfg: RunConfig, report, error_rows, out_dir: Path, verbose: bo
 
     doc = report.to_dict()
     doc["config"] = cfg.to_dict()
-    paths["report"].write_text(_dumps_17g(doc) + "\n")
+    paths["report"].write_text(json.dumps(doc, indent=2) + "\n")
 
     _write_csv(
         paths["history_csv"],

@@ -29,9 +29,9 @@ parameters of each preset, with their defaults, types and ranges, are its
 entry in geometry.PRESETS. "auto" quadrature is geometry.auto_quadrature
 at L_max. A band-limited expansion is about the surface center and needs
 |m| <= ell <= ELL_MAX; each field radius must enclose the surface (default:
-twice the enclosing radius). Tabulated samples are CSV rows theta,phi,f that
-must match the generated quadrature nodes to 1e-12 in angle; no
-interpolation is attempted.
+twice the enclosing radius), also for tabulated data, which has no field
+errors. Tabulated samples are CSV rows theta,phi,f that must match the
+generated quadrature nodes to 1e-12 in angle; no interpolation is attempted.
 """
 
 from __future__ import annotations
@@ -95,6 +95,9 @@ class RunConfig:
             **({"grid": _section(doc["grid"], "grid")} if "grid" in doc else {}),
         )
         surface, bc, quadrature, grid = doc["surface"], doc["bc"], doc["quadrature"], doc.get("grid", {})
+        for key, name in doc["outputs"].items():
+            if key != "field_radii" and not (isinstance(name, str) and name):
+                raise ConfigError(f"outputs {key} must be a non-empty file name, got {name!r}")
         # the spec checks the center, the preset and its parameters against geometry.PRESETS
         spec = geometry.SurfaceSpec(surface.get("preset"), surface.get("params", {}),
                                     surface.get("center", (0.0, 0.0, 0.0)))
@@ -119,10 +122,10 @@ class RunConfig:
             raise ConfigError(f"sweep grid has {n_cells} cells (limit 10000)")
         # the checks that need the surface's radius scan come last
         oracle, samples = _data_source(doc["data"], spec, base_dir)
+        field_radii = _field_radii(doc["outputs"], spec)
         return RunConfig(
             spec=spec, bc=bc["kind"], sigma=sigma, oracle=oracle, samples=samples, mrc=mrc,
-            quadrature=quadrature,
-            field_radii=_field_radii(doc["outputs"], spec) if oracle is not None else [],
+            quadrature=quadrature, field_radii=field_radii if oracle is not None else [],
             outputs=doc["outputs"], grid=doc.get("grid"), document=doc,
         )
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geometry, harmonics
 from .errors import ConfigError, require_number, require_point
-from .lsq import DIRICHLET, NEUMANN, ROBIN, BC_KINDS
+from .lsq import BC_KINDS, DIRICHLET, NEUMANN, bc_trace
 
 
 @dataclass(frozen=True)
@@ -105,14 +105,11 @@ class BoundaryData:
 
 
 def _trace(fn, rule, bc: str, sigma: float) -> np.ndarray:
-    """The boundary trace that a bc of kind `bc` prescribes, of a harmonic
-    function with a gradient (an oracle or a fitted field), at the nodes."""
-    if bc == DIRICHLET:
-        return fn(rule.points)
-    if bc not in (NEUMANN, ROBIN):
-        raise ValueError(f"unknown boundary condition {bc!r}")
-    normal = np.einsum("ij,ij->i", rule.normals, fn.gradient(rule.points))
-    return normal + sigma * fn(rule.points) if bc == ROBIN else normal
+    """The lsq.bc_trace of a harmonic function with a gradient (an oracle
+    or a fitted field) at the nodes; computes only what the kind reads."""
+    values = fn(rule.points) if bc != NEUMANN else None
+    normal = np.einsum("ij,ij->i", rule.normals, fn.gradient(rule.points)) if bc != DIRICHLET else None
+    return bc_trace(bc, sigma, values, normal)
 
 
 def boundary_data_from_oracle(rule, oracle, bc: str = DIRICHLET, sigma: float = 0.0) -> BoundaryData:

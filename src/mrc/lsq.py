@@ -3,8 +3,8 @@
 The discrete functional is the quadrature approximation of the squared
 L2(S) misfit; scaling rows of the design matrix and right-hand side by
 sqrt(w_i) makes ||A c - b||_2 equal that norm exactly. The solve is a
-dense SVD with relative truncation: small matrices, severe ill-conditioning
-on nonspherical surfaces, and the adaptive loop wants the spectrum anyway.
+dense SVD with relative truncation: small matrices and severe
+ill-conditioning on nonspherical surfaces.
 """
 
 from __future__ import annotations
@@ -39,35 +39,34 @@ class LsqSolution:
     coefficients: np.ndarray
     residual_l2: float
     sup_residual: float  # max_i |A c - b|_i / sqrt(w_i): the node-max misfit of the trace
-    singular_values: np.ndarray
     rank: int
     cond_estimate: float
 
 
-def _columns(basis_values, normal_derivatives, bc: str, sigma: float, sqrt_w: np.ndarray) -> np.ndarray:
-    """The weighted design columns of a run of basis columns."""
+def bc_trace(bc: str, sigma: float, values, normal_derivatives):
+    """The trace a bc of kind `bc` prescribes, from a function's values and
+    normal derivatives at the nodes: Dirichlet u, Neumann du/dn, Robin
+    du/dn + sigma * u. A kind does not read the input it does not use."""
     if bc == DIRICHLET:
-        cols = basis_values
-    elif bc == NEUMANN:
-        cols = normal_derivatives
-    else:
-        cols = normal_derivatives + sigma * basis_values
-    return cols * sqrt_w[:, None]
+        return values
+    if bc == NEUMANN:
+        return normal_derivatives
+    if bc == ROBIN:
+        return normal_derivatives + sigma * values
+    raise ValueError(f"unknown boundary condition {bc!r}")
 
 
 class GrowingSystem:
     """The weighted system for the given boundary-condition kind and
     degrees 0..L, grown as L rises.
 
-    Columns: Dirichlet h_k(x_i); Neumann n_i . grad h_k(x_i); Robin
-    n_i . grad h_k(x_i) + sigma * h_k(x_i). All rows carry sqrt(w_i). Each
-    `extend` tabulates only the degrees not seen yet and appends their
-    columns, so a loop over nested degrees builds every column once.
+    Columns: the bc_trace of each h_k at the nodes x_i; all rows carry
+    sqrt(w_i). Each `extend` tabulates only the degrees not seen yet and
+    appends their columns, so a loop over nested degrees builds every
+    column once.
     """
 
     def __init__(self, rule, center, values: np.ndarray, bc: str, sigma: float, ell_max: int):
-        if bc not in BC_KINDS:
-            raise ValueError(f"unknown boundary condition {bc!r}")
         if bc == ROBIN and sigma < 0:
             raise ValueError("Robin coefficient must be >= 0")
         values = np.asarray(values, dtype=float)
@@ -82,7 +81,7 @@ class GrowingSystem:
 
     def extend(self, ell_max: int) -> LsqProblem:
         """The system for degrees 0..ell_max; ell_max must not go down."""
-        new = [_columns(v, dn, self._bc, self._sigma, self._sqrt_w)
+        new = [bc_trace(self._bc, self._sigma, v, dn) * self._sqrt_w[:, None]
                for v, dn in itertools.islice(self._blocks, ell_max - self._ell_max)]
         self._matrix = np.concatenate([self._matrix, *new], axis=1)
         self._ell_max = ell_max
@@ -121,7 +120,6 @@ def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
         coefficients=c,
         residual_l2=float(np.linalg.norm(misfit)),
         sup_residual=float(np.max(np.abs(misfit) / problem.sqrt_w)),
-        singular_values=svals,
         rank=rank,
         cond_estimate=float(svals[0] / svals[keep][-1]),
     )

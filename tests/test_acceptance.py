@@ -131,6 +131,13 @@ def test_criterion_3_multipole_oracle_equivalence():
     )
 
 
+def test_matrix_chosen_L_pinned(matrix_runs):
+    # the north-star invariant: a change that keeps the method keeps every cell's degree
+    expected = dict(zip((name for name, _ in matrix_configs()), (9, 11, 11, 10, 12, 12, 11, 13, 13)))
+    chosen = {name: matrix_runs[name][1].chosen_L for name in expected}
+    report_line("matrix chosen_L", chosen == expected, str(chosen))
+
+
 def test_criterion_4_constructive_convergence(matrix_runs):
     ok = True
     details = []

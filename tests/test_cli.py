@@ -308,6 +308,11 @@ def _edit(doc, dotted, value):
         "numeric-path": {"data": {"type": "tabulated", "path": 5}},
         "field-radius-inside-surface": {"outputs.field_radii": [0.5]},
         "string-field-radius": {"outputs.field_radii": ["x"]},
+        "bc-neuman": {"bc": {"kind": "neuman"}},
+        "numeric-report": {"outputs.report": 5},
+        "list-history_csv": {"outputs.history_csv": ["a"]},
+        "numeric-sweep_csv": {"outputs.sweep_csv": 7},
+        "empty-report": {"outputs.report": ""},
     }.items()
 ])
 def test_bad_config_value_is_config_error(tmp_path, edits):
@@ -388,3 +393,26 @@ def test_source_and_field_radii_checked_at_load(monkeypatch, edits):
         _edit(doc, dotted, value)
     with pytest.raises(ConfigError):
         RunConfig.from_dict(doc)
+
+
+def test_tabulated_field_radii_checked(tmp_path):
+    rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0), 14, 26)
+    lines = ["theta,phi,f"] + [f"{t},{p},1.0" for t, p in zip(rule.theta, rule.phi)]
+    (tmp_path / "samples.csv").write_text("\n".join(lines) + "\n")
+    for radii, code in (("x", cli.EXIT_CONFIG), ([0.5], cli.EXIT_CONFIG), ([2.0], cli.EXIT_OK)):
+        doc = base_config(data={"type": "tabulated", "path": "samples.csv"},
+                          mrc={"epsilon": 1e-6, "L_start": 0, "L_max": 12}, outputs={"field_radii": radii})
+        assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]) == code
+    assert (tmp_path / "report.json").exists()
+    assert not (tmp_path / "field_errors.csv").exists()  # no oracle, no field errors
+
+
+def test_report_floats_read_back_as_written(tmp_path):
+    doc = base_config(surface={"preset": "sphere", "params": {"a": 1.2}}, bc={"kind": "robin", "sigma": 1.0},
+                      mrc={"epsilon": 1e-6, "L_start": 0, "L_max": 12})
+    assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "report.json").read_text()
+    report = json.loads(text)
+    assert type(report["sigma"]) is float and report["sigma"] == 1.0
+    assert type(report["config"]["bc"]["sigma"]) is float
+    assert '"epsilon": 1e-06' in text and "9.99999" not in text

@@ -192,3 +192,11 @@ def test_interior_source_check():
     spec = G.SurfaceSpec.sphere(1.0)
     with pytest.raises(mrc.ConfigError):
         F.interior_source_or_raise(spec, [1.5, 0.0, 0.0])
+
+
+def test_unknown_bc_kind_rejected():
+    rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0), 8, 16)
+    with pytest.raises(ValueError, match="unknown boundary condition"):
+        F.boundary_data_from_oracle(rule, F.PointSource([0.1, 0.0, 0.0]), "neuman")
+    with pytest.raises(ValueError, match="unknown boundary condition"):
+        F.BoundaryData(bc="neuman", values=np.zeros(rule.n_nodes))

@@ -155,3 +155,8 @@ def test_lapack_failure_is_solver_error(sphere_rule):
     problem.matrix[0, 0] = np.nan
     with pytest.raises(SolverError):
         lsq.solve(problem)
+
+
+def test_unknown_bc_kind_rejected(sphere_rule):
+    with pytest.raises(ValueError, match="unknown boundary condition"):
+        lsq.GrowingSystem(sphere_rule, (0, 0, 0), np.zeros(sphere_rule.n_nodes), "neuman", 0.0, 2).extend(2)
