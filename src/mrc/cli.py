@@ -95,19 +95,26 @@ def _set_by_path(doc: dict, dotted: str, value) -> None:
     doc[last] = value
 
 
-def _sweep_cell(base_doc: dict, keys: list[str], values: tuple, base_dir: Path) -> list:
-    doc = json.loads(json.dumps(base_doc))
-    row = list(values)
+def _sweep_group(cells: list[RunConfig]) -> list:
+    """Each cell's sweep.csv result fields, or the exception that ends it: one run_mrc_grid over the
+    group's distinct data and epsilons, one error tabulation at the first field radius. If that
+    fails, each cell runs alone, so an error ends only the cells it ends alone."""
+    first, keys = cells[0], [json.dumps(cell.document["data"], sort_keys=True) for cell in cells]
+    vectors, epsilons = dict(zip(keys, cells)), list(dict.fromkeys(cell.mrc.epsilon for cell in cells))
     try:
-        for key, value in zip(keys, values):
-            _set_by_path(doc, key, value)
-        report, error_rows = execute_run(RunConfig.from_dict(doc, base_dir))
-        sr_error = error_rows[0][1] if error_rows else ""
-        row += [report.termination, report.chosen_L if report.chosen_L is not None else "",
-                report.final_residual, sr_error, ""]
+        rule = first.quadrature_rule()
+        grid = driver.run_mrc_grid(first.spec, rule, [cell.boundary_data(rule) for cell in vectors.values()],
+                                   first.mrc, epsilons)
+        by_cell = dict(zip(itertools.product(vectors, epsilons), itertools.chain.from_iterable(grid)))
+        reports = [by_cell[key, cell.mrc.epsilon] for key, cell in zip(keys, cells)]
+        sr_errors = [""] * len(cells)
+        if first.field_radii:
+            sr_errors = [err.l2 for err in fields.errors_on_enclosing_sphere(
+                [r.field for r in reports], [cell.oracle for cell in cells], first.field_radii[0])]
     except (ConfigError, GeometryError, SolverError, ValueError) as exc:
-        row += ["error", "", "", "", f"{type(exc).__name__}: {exc}"]
-    return row
+        return [exc] if len(cells) == 1 else [outcome for cell in cells for outcome in _sweep_group([cell])]
+    return [[r.termination, "" if r.chosen_L is None else r.chosen_L, r.final_residual, sr_error]
+            for r, sr_error in zip(reports, sr_errors)]
 
 
 def cmd_sweep(args) -> int:
@@ -122,8 +129,27 @@ def cmd_sweep(args) -> int:
     columns = keys + ["termination", "chosen_L", "final_residual", "sr_error", "error"]
 
     base_dir = Path(args.config).parent
-    rows = [_sweep_cell(base_doc, keys, values, base_dir)
-            for values in itertools.product(*(cfg.grid[k] for k in keys))] if keys else []
+    grid = list(itertools.product(*(cfg.grid[k] for k in keys))) if keys else []
+    outcomes, groups = [], {}  # a group's cells differ only in their data (not its type) and epsilon
+    for values in grid:
+        doc = json.loads(json.dumps(base_doc))
+        try:
+            for key, value in zip(keys, values):
+                _set_by_path(doc, key, value)
+            cell = RunConfig.from_dict(doc, base_dir)
+        except (ConfigError, GeometryError, SolverError, ValueError) as exc:
+            outcomes.append(exc)
+            continue
+        doc = cell.document
+        shared = dict(doc, data=doc["data"].get("type"), mrc=dict(doc["mrc"], epsilon=None))
+        groups.setdefault(json.dumps(shared, sort_keys=True), []).append(len(outcomes))
+        outcomes.append(cell)
+    for members in groups.values():
+        for i, outcome in zip(members, _sweep_group([outcomes[i] for i in members])):
+            outcomes[i] = outcome
+    rows = [[*values, *(["error", "", "", "", f"{type(outcome).__name__}: {outcome}"]
+                        if isinstance(outcome, Exception) else [*outcome, ""])]
+            for values, outcome in zip(grid, outcomes)]
 
     _write_csv(out_dir / cfg.outputs.get("sweep_csv", "sweep.csv"), columns, rows)
     return EXIT_OK

@@ -96,8 +96,8 @@ class RunConfig:
         )
         surface, bc, quadrature, grid = doc["surface"], doc["bc"], doc["quadrature"], doc.get("grid", {})
         for key, name in doc["outputs"].items():
-            if key != "field_radii" and not (isinstance(name, str) and name):
-                raise ConfigError(f"outputs {key} must be a non-empty file name, got {name!r}")
+            if key != "field_radii" and not (isinstance(name, str) and name.split("/")[-1] not in ("", ".", "..")):
+                raise ConfigError(f"outputs {key} must be a file name, got {name!r}")
         # the spec checks the center, the preset and its parameters against geometry.PRESETS
         spec = geometry.SurfaceSpec(surface.get("preset"), surface.get("params", {}),
                                     surface.get("center", (0.0, 0.0, 0.0)))

@@ -11,6 +11,11 @@ long flat plateaus, so the patience is configurable). Over nested bases the
 residual cannot rise in exact arithmetic, but near the round-off floor it
 can in floating point (a Neumann run to the floor goes from 1.6e-12 at L=25
 to 3.0e-11 at L=37); a stagnated run reports its last fit, not its best.
+
+The loop runs a group of cells at once (run_mrc_grid): data vectors on one
+surface, rule and bc, each under several epsilons. Each vector is a
+right-hand side of one system, so a degree costs one SVD for the group;
+its residual history serves every epsilon, as stagnation does not read it.
 """
 
 from __future__ import annotations
@@ -109,75 +114,74 @@ class SolveReport:
 
 def run_mrc(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule,
             data: fields.BoundaryData, cfg: MrcConfig) -> SolveReport:
-    """Adaptive fit of exterior harmonics to the boundary data.
+    """Adaptive fit of exterior harmonics to the boundary data; see run_mrc_grid."""
+    return run_mrc_grid(spec, rule, [data], cfg, [cfg.epsilon])[0][0]
 
-    If the rule cannot resolve degrees up to L_max it is refined
-    automatically (and the data resampled via its oracle); tabulated data
-    without an oracle instead caps the effective L_max at what the rule
-    resolves. Either adjustment is recorded in the report.
-    """
+
+def run_mrc_grid(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule, data: list[fields.BoundaryData],
+                 cfg: MrcConfig, epsilons: list[float]) -> list[list[SolveReport]]:
+    """reports[i][j] is the fit of data[i] with cfg at epsilons[j] (cfg.epsilon is not read).
+
+    The data share bc, sigma and whether they have an oracle. If the rule cannot resolve degrees up
+    to L_max it is refined automatically (and the data resampled via its oracle); tabulated data
+    without an oracle instead caps the effective L_max at what the rule resolves. Either adjustment
+    is recorded in the report."""
     L_max = cfg.L_max
     refined = not rule.resolves(L_max)
-    if refined and data.oracle is not None:
+    if refined and data[0].oracle is not None:
         rule = geometry.auto_quadrature(spec, L_max)
-        data = fields.boundary_data_from_oracle(rule, data.oracle, data.bc, data.sigma)
+        data = [fields.boundary_data_from_oracle(rule, d.oracle, d.bc, d.sigma) for d in data]
     elif refined:
         L_max = min(rule.n_theta - 1, (rule.n_phi - 1) // 2)
         if L_max < cfg.L_start:
             raise ConfigError("quadrature rule cannot resolve L_start and tabulated data cannot be resampled")
 
-    system = lsq.GrowingSystem(rule, spec.center, data.values, data.bc, data.sigma, L_max)
+    system = lsq.GrowingSystem(rule, spec.center, np.stack([d.values for d in data]), data[0].bc, data[0].sigma, L_max)
     r_min, r_max = geometry.radius_bounds(spec)
-    f_norm = float(np.sqrt(np.sum(rule.weights * data.values**2)))
-
-    history: list[DegreeRecord] = []
-    coeffs = np.zeros(1)
-    termination = L_MAX_REACHED
-    chosen_L = None
-    stagnant_steps = 0
-    prev_residual = None
-
+    f_norms = [float(np.sqrt(np.sum(rule.weights * d.values**2))) for d in data]
+    # per data vector: its history, the coefficients where some epsilon is first met (by history
+    # length) and the latest, why the history stopped (every epsilon met, or stagnation), stagnant steps
+    rows, kept, latest = [[] for _ in data], [{} for _ in data], [None] * len(data)
+    stops, stagnant = [None] * len(data), [0] * len(data)
     for L in range(cfg.L_start, L_max + 1, cfg.L_step):
+        if all(stops):
+            break
         try:
             sol = lsq.solve(system.extend(L), cfg.svd_rtol)
         except SolverError:
-            termination = STAGNATED
+            stops = [stop or STAGNATED for stop in stops]
             break
-        coeffs = sol.coefficients
-        history.append(DegreeRecord(
-            L=L, residual_l2=sol.residual_l2, residual_rel=sol.residual_l2 / f_norm if f_norm > 0 else 0.0,
-            sup_residual=sol.sup_residual, rank=sol.rank, cond_estimate=sol.cond_estimate,
-        ))
-        if sol.residual_l2 <= cfg.epsilon:
-            chosen_L = L
-            termination = CONVERGED
-            break
-        if prev_residual is not None and sol.residual_l2 > cfg.stagnation_factor * prev_residual:
-            stagnant_steps += 1
-            if stagnant_steps >= cfg.stagnation_patience:
-                termination = STAGNATED
-                break
-        else:
-            stagnant_steps = 0
-        prev_residual = sol.residual_l2
-
-    if not history:
+        for i in [i for i, stop in enumerate(stops) if not stop]:
+            residual, prev = float(sol.residual_l2[i]), [h.residual_l2 for h in rows[i]]
+            rows[i].append(DegreeRecord(
+                L=L, residual_l2=residual, residual_rel=residual / f_norms[i] if f_norms[i] > 0 else 0.0,
+                sup_residual=float(sol.sup_residual[i]), rank=sol.rank, cond_estimate=sol.cond_estimate,
+            ))
+            latest[i] = sol.coefficients[i]
+            if any(residual <= epsilon < min(prev, default=np.inf) for epsilon in epsilons):
+                kept[i][len(rows[i])] = latest[i]
+            if residual <= min(epsilons):
+                stops[i] = CONVERGED
+            elif prev and residual > cfg.stagnation_factor * prev[-1]:
+                stagnant[i] += 1
+                if stagnant[i] >= cfg.stagnation_patience:
+                    stops[i] = STAGNATED
+            else:
+                stagnant[i] = 0
+    if not rows[0]:
         raise SolverError("adaptive loop terminated before completing a single solve")
 
-    return SolveReport(
-        history=tuple(history),
-        chosen_L=chosen_L,
-        coefficients=coeffs,
-        termination=termination,
-        f_norm=f_norm,
-        epsilon=cfg.epsilon,
-        svd_rtol=cfg.svd_rtol,
-        bc=data.bc,
-        sigma=data.sigma,
-        rule_refined=refined,
-        fd_derivatives=spec.uses_fd_derivatives,
-        field=fields.ExteriorField(spec.center, coeffs, r_min, r_max),
-    )
+    def report(i: int, epsilon: float) -> SolveReport:
+        n = next((n for n, h in enumerate(rows[i], 1) if h.residual_l2 <= epsilon), None)  # rows up to the stop
+        coeffs = kept[i][n] if n else latest[i]
+        return SolveReport(
+            history=tuple(rows[i][:n]), chosen_L=rows[i][n - 1].L if n else None, coefficients=coeffs,
+            termination=CONVERGED if n else stops[i] or L_MAX_REACHED, f_norm=f_norms[i], epsilon=epsilon,
+            svd_rtol=cfg.svd_rtol, bc=data[i].bc, sigma=data[i].sigma, rule_refined=refined,
+            fd_derivatives=spec.uses_fd_derivatives, field=fields.ExteriorField(spec.center, coeffs, r_min, r_max),
+        )
+
+    return [[report(i, epsilon) for epsilon in epsilons] for i in range(len(data))]
 
 
 def neumann_data_from_potential(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule,

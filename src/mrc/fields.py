@@ -144,14 +144,21 @@ class SphereError(NamedTuple):
 def error_on_enclosing_sphere(field: ExteriorField, oracle, R: float,
                               n_theta: int = 64, n_phi: int = 128) -> SphereError:
     """L2 and node-sup error of the field against the oracle on |x-c| = R."""
-    if R < field.r_max:
-        raise ValueError(f"sphere radius {R} does not enclose the surface (r_max={field.r_max})")
-    rule = geometry.build_quadrature(geometry.SurfaceSpec.sphere(R, field.center), n_theta, n_phi)
-    diff = field(rule.points) - np.asarray(oracle(rule.points), dtype=float)
-    return SphereError(
-        l2=float(np.sqrt(np.sum(rule.weights * diff**2))),
-        sup=float(np.max(np.abs(diff))),
-    )
+    return errors_on_enclosing_sphere([field], [oracle], R, n_theta, n_phi)[0]
+
+
+def errors_on_enclosing_sphere(fields: list[ExteriorField], oracles: list, R: float,
+                               n_theta: int = 64, n_phi: int = 128) -> list[SphereError]:
+    """The error of each field against its oracle on |x-c| = R. The fields share center and radii;
+    h is tabulated once, at their largest degree, and each field reads its own columns."""
+    widest = max(fields, key=lambda f: f.ell_max)
+    if R < widest.r_max:
+        raise ValueError(f"sphere radius {R} does not enclose the surface (r_max={widest.r_max})")
+    rule = geometry.build_quadrature(geometry.SurfaceSpec.sphere(R, widest.center), n_theta, n_phi)
+    h = harmonics.eval_h(widest.ell_max, widest._exterior_points(rule.points)[0], widest.center)
+    diffs = (h[:, : f.coefficients.shape[0]] @ f.coefficients - np.asarray(oracle(rule.points), dtype=float)
+             for f, oracle in zip(fields, oracles))
+    return [SphereError(l2=float(np.sqrt(np.sum(rule.weights * d**2))), sup=float(np.max(np.abs(d)))) for d in diffs]
 
 
 def sup_residual(rule, field: ExteriorField, data: BoundaryData) -> float:

@@ -4,7 +4,10 @@ The discrete functional is the quadrature approximation of the squared
 L2(S) misfit; scaling rows of the design matrix and right-hand side by
 sqrt(w_i) makes ||A c - b||_2 equal that norm exactly. The solve is a
 dense SVD with relative truncation: small matrices and severe
-ill-conditioning on nonspherical surfaces.
+ill-conditioning on nonspherical surfaces. One SVD serves every
+right-hand side, each fitted by its own matrix-vector products, so a fit
+is the same to the last bit alone or among others. The retained singular
+values are a prefix (they come sorted): the factors are sliced, not copied.
 """
 
 from __future__ import annotations
@@ -27,18 +30,18 @@ SVD_RTOL = 1e-12  # default relative truncation of the singular values
 
 @dataclass(frozen=True)
 class LsqProblem:
-    """sqrt(w)-scaled design matrix and right-hand side."""
+    """sqrt(w)-scaled design matrix and right-hand side(s)."""
 
     matrix: np.ndarray  # (n_nodes, n_cols)
-    rhs: np.ndarray  # (n_nodes,)
+    rhs: np.ndarray  # (n_nodes,), or (k, n_nodes): one right-hand side per row
     sqrt_w: np.ndarray  # (n_nodes,) row scaling, kept for diagnostics
 
 
 @dataclass(frozen=True)
 class LsqSolution:
-    coefficients: np.ndarray
-    residual_l2: float
-    sup_residual: float  # max_i |A c - b|_i / sqrt(w_i): the node-max misfit of the trace
+    coefficients: np.ndarray  # (n_cols,), or (k, n_cols) for k right-hand sides; then each residual has k entries
+    residual_l2: float | np.ndarray
+    sup_residual: float | np.ndarray  # max_i |A c - b|_i / sqrt(w_i): the node-max misfit of the trace
     rank: int
     cond_estimate: float
 
@@ -58,7 +61,7 @@ def bc_trace(bc: str, sigma: float, values, normal_derivatives):
 
 class GrowingSystem:
     """The weighted system for the given boundary-condition kind and
-    degrees 0..L, grown as L rises.
+    degrees 0..L, grown as L rises; each row of `values` is a right-hand side.
 
     Columns: the bc_trace of each h_k at the nodes x_i; all rows carry
     sqrt(w_i). Each `extend` tabulates only the degrees not seen yet and
@@ -70,7 +73,7 @@ class GrowingSystem:
         if bc == ROBIN and sigma < 0:
             raise ValueError("Robin coefficient must be >= 0")
         values = np.asarray(values, dtype=float)
-        if values.shape[0] != rule.n_nodes:
+        if values.shape[-1] != rule.n_nodes:
             raise ValueError("boundary data length does not match the quadrature rule")
         self._bc, self._sigma = bc, sigma
         self._blocks = node_blocks(ell_max, rule, center, gradients=bc != DIRICHLET)
@@ -95,6 +98,7 @@ def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
     is the minimum-norm minimizer over the retained subspace. Both reported
     residuals, ||A c - b||_2 and the node-max misfit, are recomputed from
     the returned coefficients. A LAPACK failure is raised as SolverError.
+    The factors die with the call: only the fits are returned.
     """
     A, b = problem.matrix, problem.rhs
     if A.size == 0:
@@ -113,13 +117,12 @@ def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
     if rank == 0:
         raise SolverError("all singular values fall below the truncation threshold")
 
-    proj = U[:, keep].T @ b
-    c = Vt[keep].T @ (proj / svals[keep])
-    misfit = A @ c - b
-    return LsqSolution(
-        coefficients=c,
-        residual_l2=float(np.linalg.norm(misfit)),
-        sup_residual=float(np.max(np.abs(misfit) / problem.sqrt_w)),
-        rank=rank,
-        cond_estimate=float(svals[0] / svals[keep][-1]),
-    )
+    U, svals, Vt = U[:, :rank], svals[:rank], Vt[:rank]  # keep is a prefix: svals are sorted
+    fits = []
+    for rhs in np.atleast_2d(b):  # one gemv per right-hand side, as if it were alone
+        c = Vt.T @ ((U.T @ rhs) / svals)
+        misfit = A @ c - rhs
+        fits.append((c, float(np.linalg.norm(misfit)), float(np.max(np.abs(misfit) / problem.sqrt_w))))
+    c, residual, sup = fits[0] if b.ndim == 1 else map(np.array, zip(*fits))
+    return LsqSolution(coefficients=c, residual_l2=residual, sup_residual=sup, rank=rank,
+                       cond_estimate=float(svals[0] / svals[-1]))

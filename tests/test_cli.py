@@ -313,6 +313,9 @@ def _edit(doc, dotted, value):
         "list-history_csv": {"outputs.history_csv": ["a"]},
         "numeric-sweep_csv": {"outputs.sweep_csv": 7},
         "empty-report": {"outputs.report": ""},
+        "dot-report": {"outputs.report": "."},
+        "dotdot-history_csv": {"outputs.history_csv": "sub/.."},
+        "directory-field_error_csv": {"outputs.field_error_csv": "sub/"},
     }.items()
 ])
 def test_bad_config_value_is_config_error(tmp_path, edits):
@@ -416,3 +419,47 @@ def test_report_floats_read_back_as_written(tmp_path):
     assert type(report["sigma"]) is float and report["sigma"] == 1.0
     assert type(report["config"]["bc"]["sigma"]) is float
     assert '"epsilon": 1e-06' in text and "9.99999" not in text
+
+
+def test_sweep_rows_equal_single_solves(tmp_path):
+    # two surfaces make two groups; each group shares one system among its
+    # sources and epsilons, yet every row must be the cell's own `mrc solve`
+    doc = base_config(surface={"preset": "spheroid", "params": {"a": 1.0, "e": 0.5}}, bc={"kind": "neumann"},
+                      data=dict(_POINT), mrc={"epsilon": 1e-6, "L_start": 2, "L_max": 20})
+    doc["grid"] = {"data.z": [[0.3, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.1, 0.25]],
+                   "mrc.epsilon": [1e-3, 1e-5, 1e-7], "surface.params.e": [0.3, 0.5]}
+    assert cli.main(["sweep", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "sweep")]) == 0
+    rows = read_csv(tmp_path / "sweep" / "sweep.csv")
+    assert len(rows) == 18
+    for i, row in enumerate(rows):
+        if row["data.z"] == "[2.0,0.0,0.0]":
+            assert row["termination"] == "error"
+            assert row["error"] == "ConfigError: source point must lie inside the inscribed sphere"
+            continue
+        cell = json.loads(json.dumps(doc))
+        del cell["grid"]
+        cell["data"]["z"] = json.loads(row["data.z"])
+        cell["mrc"]["epsilon"] = float(row["mrc.epsilon"])
+        cell["surface"]["params"]["e"] = float(row["surface.params.e"])
+        out = tmp_path / f"cell{i}"
+        cli.main(["solve", str(write_config(tmp_path, cell, f"cell{i}.json")), "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert row["error"] == ""
+        assert row["termination"] == report["termination"]
+        assert row["chosen_L"] == str(report["chosen_L"] or "")
+        assert float(row["final_residual"]) == report["final_residual"]
+        assert float(row["sr_error"]) == float(read_csv(out / "field_errors.csv")[0]["l2_error"])
+
+
+def test_one_svd_per_degree_per_group(tmp_path, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    doc = base_config(surface={"preset": "spheroid", "params": {"a": 1.0, "e": 0.5}},
+                      data=dict(_POINT), mrc={"epsilon": 1e-6, "L_start": 2, "L_max": 20})
+    doc["grid"] = {"data.z": [[0.3, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.3], [0.1, -0.2, 0.1]],
+                   "mrc.epsilon": [1e-4, 1e-6, 1e-8]}
+    assert cli.main(["sweep", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "sweep.csv")
+    assert len(rows) == 12 and all(row["termination"] == "converged" for row in rows)
+    assert len(calls) == max(int(row["chosen_L"]) for row in rows) - 2 + 1
