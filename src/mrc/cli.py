@@ -45,19 +45,52 @@ def _write_csv(path: Path, columns: list[str], rows: list[list]) -> None:
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
+def run_cells(cells: list[RunConfig]) -> list:
+    """Each cell's (SolveReport, [SphereError at each field radius]), or the exception that ends it.
+
+    The cells differ only in their data (not its type) and mrc.epsilon. They share one quadrature
+    rule and one driver.run_mrc_grid over their distinct data and epsilons, and each field radius
+    tabulates its error sphere once. If that fails, each cell runs alone, so an error ends only
+    the cells it ends alone. `mrc solve` is the one-cell call."""
+    first, keys = cells[0], [json.dumps(cell.document["data"], sort_keys=True) for cell in cells]
+    vectors, epsilons = dict(zip(keys, cells)), list(dict.fromkeys(cell.mrc.epsilon for cell in cells))
+    try:
+        rule = first.quadrature_rule()
+        grid = driver.run_mrc_grid(first.spec, rule, [cell.boundary_data(rule) for cell in vectors.values()],
+                                   first.mrc, epsilons)
+        by_cell = dict(zip(itertools.product(vectors, epsilons), itertools.chain.from_iterable(grid)))
+        reports = [by_cell[key, cell.mrc.epsilon] for key, cell in zip(keys, cells)]
+        by_radius = [fields.errors_on_enclosing_sphere([r.field for r in reports], [cell.oracle for cell in cells], R)
+                     for R in first.field_radii]
+    except (ConfigError, GeometryError, SolverError, ValueError) as exc:
+        return [exc] if len(cells) == 1 else [outcome for cell in cells for outcome in run_cells([cell])]
+    return [(report, [errors[i] for errors in by_radius]) for i, report in enumerate(reports)]
+
+
 def execute_run(cfg: RunConfig):
-    """Run one solve; returns (report, field_error_rows)."""
-    rule = cfg.quadrature_rule()
-    report = driver.run_mrc(cfg.spec, rule, cfg.boundary_data(rule), cfg.mrc)
-    errors = [fields.error_on_enclosing_sphere(report.field, cfg.oracle, R) for R in cfg.field_radii]
+    """Run one solve; returns (report, field_error_rows), or raises what ends it."""
+    outcome = run_cells([cfg])[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    report, errors = outcome
     return report, [[R, err.l2, err.sup] for R, err in zip(cfg.field_radii, errors)]
 
 
-def write_reports(cfg: RunConfig, report, error_rows, out_dir: Path, verbose: bool) -> None:
-    paths = {key: out_dir / cfg.outputs.get(key, name) for key, name in OUTPUT_FILES.items()}
-    for path in paths.values():
-        path.parent.mkdir(parents=True, exist_ok=True)
+def output_paths(cfg: RunConfig, out_dir: Path, names: dict) -> dict:
+    """Each output's path under out_dir (names: key -> default file name), with its parent
+    directory made; a ConfigError (exit 2) if a path names a directory or its parent cannot be made."""
+    paths = {key: out_dir / cfg.outputs.get(key, name) for key, name in names.items()}
+    for key, path in paths.items():
+        if path.is_dir():
+            raise ConfigError(f"outputs {key} names a directory: {path}")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make the directory of outputs {key}: {exc}") from exc
+    return paths
 
+
+def write_reports(cfg: RunConfig, report, error_rows, paths: dict, verbose: bool) -> None:
     doc = report.to_dict()
     doc["config"] = cfg.to_dict()
     paths["report"].write_text(json.dumps(doc, indent=2) + "\n")
@@ -80,9 +113,9 @@ def write_reports(cfg: RunConfig, report, error_rows, out_dir: Path, verbose: bo
 
 def cmd_solve(args) -> int:
     cfg = RunConfig.load(args.config)
-    out_dir = Path(args.out) if args.out else Path.cwd()
+    paths = output_paths(cfg, Path(args.out) if args.out else Path.cwd(), OUTPUT_FILES)
     report, error_rows = execute_run(cfg)
-    write_reports(cfg, report, error_rows, out_dir, args.verbose)
+    write_reports(cfg, report, error_rows, paths, args.verbose)
     return EXIT_OK if report.termination == driver.CONVERGED else EXIT_NONCONVERGED
 
 
@@ -95,34 +128,20 @@ def _set_by_path(doc: dict, dotted: str, value) -> None:
     doc[last] = value
 
 
-def _sweep_group(cells: list[RunConfig]) -> list:
-    """Each cell's sweep.csv result fields, or the exception that ends it: one run_mrc_grid over the
-    group's distinct data and epsilons, one error tabulation at the first field radius. If that
-    fails, each cell runs alone, so an error ends only the cells it ends alone."""
-    first, keys = cells[0], [json.dumps(cell.document["data"], sort_keys=True) for cell in cells]
-    vectors, epsilons = dict(zip(keys, cells)), list(dict.fromkeys(cell.mrc.epsilon for cell in cells))
-    try:
-        rule = first.quadrature_rule()
-        grid = driver.run_mrc_grid(first.spec, rule, [cell.boundary_data(rule) for cell in vectors.values()],
-                                   first.mrc, epsilons)
-        by_cell = dict(zip(itertools.product(vectors, epsilons), itertools.chain.from_iterable(grid)))
-        reports = [by_cell[key, cell.mrc.epsilon] for key, cell in zip(keys, cells)]
-        sr_errors = [""] * len(cells)
-        if first.field_radii:
-            sr_errors = [err.l2 for err in fields.errors_on_enclosing_sphere(
-                [r.field for r in reports], [cell.oracle for cell in cells], first.field_radii[0])]
-    except (ConfigError, GeometryError, SolverError, ValueError) as exc:
-        return [exc] if len(cells) == 1 else [outcome for cell in cells for outcome in _sweep_group([cell])]
-    return [[r.termination, "" if r.chosen_L is None else r.chosen_L, r.final_residual, sr_error]
-            for r, sr_error in zip(reports, sr_errors)]
+def _sweep_fields(outcome) -> list:
+    """A sweep.csv row's result fields; sr_error is the l2 error at the first field radius."""
+    if isinstance(outcome, Exception):
+        return ["error", "", "", "", f"{type(outcome).__name__}: {outcome}"]
+    report, errors = outcome
+    return [report.termination, "" if report.chosen_L is None else report.chosen_L, report.final_residual,
+            errors[0].l2 if errors else "", ""]
 
 
 def cmd_sweep(args) -> int:
     cfg = RunConfig.load(args.config)  # also checks the grid's cell count
     if cfg.grid is None:
         raise ConfigError("sweep requires a 'grid' section in the config")
-    out_dir = Path(args.out) if args.out else Path.cwd()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = output_paths(cfg, Path(args.out) if args.out else Path.cwd(), {"sweep_csv": "sweep.csv"})
 
     keys = sorted(cfg.grid)
     base_doc = {key: value for key, value in cfg.to_dict().items() if key != "grid"}
@@ -136,7 +155,7 @@ def cmd_sweep(args) -> int:
         try:
             for key, value in zip(keys, values):
                 _set_by_path(doc, key, value)
-            cell = RunConfig.from_dict(doc, base_dir)
+            cell = RunConfig.from_dict(doc, base_dir, base=cfg)
         except (ConfigError, GeometryError, SolverError, ValueError) as exc:
             outcomes.append(exc)
             continue
@@ -145,13 +164,9 @@ def cmd_sweep(args) -> int:
         groups.setdefault(json.dumps(shared, sort_keys=True), []).append(len(outcomes))
         outcomes.append(cell)
     for members in groups.values():
-        for i, outcome in zip(members, _sweep_group([outcomes[i] for i in members])):
+        for i, outcome in zip(members, run_cells([outcomes[i] for i in members])):
             outcomes[i] = outcome
-    rows = [[*values, *(["error", "", "", "", f"{type(outcome).__name__}: {outcome}"]
-                        if isinstance(outcome, Exception) else [*outcome, ""])]
-            for values, outcome in zip(grid, outcomes)]
-
-    _write_csv(out_dir / cfg.outputs.get("sweep_csv", "sweep.csv"), columns, rows)
+    _write_csv(paths["sweep_csv"], columns, [[*values, *_sweep_fields(out)] for values, out in zip(grid, outcomes)])
     return EXIT_OK
 
 

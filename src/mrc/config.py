@@ -80,7 +80,9 @@ class RunConfig:
     document: dict  # the config with its defaults filled in
 
     @staticmethod
-    def from_dict(doc: dict, base_dir: Path | None = None) -> "RunConfig":
+    def from_dict(doc: dict, base_dir: Path | None = None, base: "RunConfig | None" = None) -> "RunConfig":
+        """The parsed doc; a `base` run whose surface section equals doc's lends it its spec, and
+        with it the spec's one radius scan (a sweep passes its base config for every cell)."""
         doc = _section(doc, "config", ("surface", "bc", "data", "mrc", "quadrature", "outputs", "grid"))
         for key in ("surface", "data", "mrc"):
             if key not in doc:
@@ -99,8 +101,9 @@ class RunConfig:
             if key != "field_radii" and not (isinstance(name, str) and name.split("/")[-1] not in ("", ".", "..")):
                 raise ConfigError(f"outputs {key} must be a file name, got {name!r}")
         # the spec checks the center, the preset and its parameters against geometry.PRESETS
-        spec = geometry.SurfaceSpec(surface.get("preset"), surface.get("params", {}),
-                                    surface.get("center", (0.0, 0.0, 0.0)))
+        same = base is not None and json.dumps(surface) == json.dumps(base.document["surface"])  # True != 1.0
+        spec = base.spec if same else geometry.SurfaceSpec(surface.get("preset"), surface.get("params", {}),
+                                                           surface.get("center", (0.0, 0.0, 0.0)))
         if bc.get("kind") not in BC_KINDS:
             raise ConfigError(f"unknown boundary condition {bc.get('kind')!r}")
         sigma = require_number("bc sigma", bc.get("sigma", 0.0))

@@ -141,20 +141,21 @@ class SphereError(NamedTuple):
     sup: float
 
 
-def error_on_enclosing_sphere(field: ExteriorField, oracle, R: float,
-                              n_theta: int = 64, n_phi: int = 128) -> SphereError:
+ERROR_SPHERE_RULE = (64, 128)  # (n_theta, n_phi) of the quadrature on an error sphere
+
+
+def error_on_enclosing_sphere(field: ExteriorField, oracle, R: float) -> SphereError:
     """L2 and node-sup error of the field against the oracle on |x-c| = R."""
-    return errors_on_enclosing_sphere([field], [oracle], R, n_theta, n_phi)[0]
+    return errors_on_enclosing_sphere([field], [oracle], R)[0]
 
 
-def errors_on_enclosing_sphere(fields: list[ExteriorField], oracles: list, R: float,
-                               n_theta: int = 64, n_phi: int = 128) -> list[SphereError]:
+def errors_on_enclosing_sphere(fields: list[ExteriorField], oracles: list, R: float) -> list[SphereError]:
     """The error of each field against its oracle on |x-c| = R. The fields share center and radii;
     h is tabulated once, at their largest degree, and each field reads its own columns."""
     widest = max(fields, key=lambda f: f.ell_max)
     if R < widest.r_max:
         raise ValueError(f"sphere radius {R} does not enclose the surface (r_max={widest.r_max})")
-    rule = geometry.build_quadrature(geometry.SurfaceSpec.sphere(R, widest.center), n_theta, n_phi)
+    rule = geometry.build_quadrature(geometry.SurfaceSpec.sphere(R, widest.center), *ERROR_SPHERE_RULE)
     h = harmonics.eval_h(widest.ell_max, widest._exterior_points(rule.points)[0], widest.center)
     diffs = (h[:, : f.coefficients.shape[0]] @ f.coefficients - np.asarray(oracle(rule.points), dtype=float)
              for f, oracle in zip(fields, oracles))

@@ -463,3 +463,51 @@ def test_one_svd_per_degree_per_group(tmp_path, monkeypatch):
     rows = read_csv(tmp_path / "sweep.csv")
     assert len(rows) == 12 and all(row["termination"] == "converged" for row in rows)
     assert len(calls) == max(int(row["chosen_L"]) for row in rows) - 2 + 1
+
+
+def test_sweep_scans_each_surface_once(tmp_path, monkeypatch):
+    # the cells of a sweep that leaves `surface` alone lend the base config's spec, and its one scan;
+    # a cell that varies surface.* scans its own surface, unless it equals the base's
+    scans = []
+    scan = G._scan_radius_bounds
+    monkeypatch.setattr(G, "_scan_radius_bounds", lambda spec: scans.append(spec) or scan(spec))
+    doc = base_config(surface={"preset": "spheroid", "params": {"a": 1.0, "e": 0.5}},
+                      data=dict(_POINT), mrc={"epsilon": 1e-6, "L_start": 2, "L_max": 20})
+    doc["grid"] = {"data.z": [[0.3, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.3], [0.1, -0.2, 0.1]],
+                   "mrc.epsilon": [1e-4, 1e-6, 1e-8]}
+    assert cli.main(["sweep", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "a")]) == 0
+    assert len(scans) == 1
+    doc["grid"] = {"surface.params.e": [0.3, 0.5]}
+    assert cli.main(["sweep", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "b")]) == 0
+    assert [spec.params["e"] for spec in scans[1:]] == [0.5, 0.3]
+    assert all(row["termination"] == "converged" for row in read_csv(tmp_path / "b" / "sweep.csv"))
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran")
+
+
+def test_solve_output_naming_a_directory_is_config_error(tmp_path, monkeypatch):
+    # the output paths are checked before the solve: this used to end in IsADirectoryError after it
+    monkeypatch.setattr(cli.driver, "run_mrc_grid", _no_solve)
+    (tmp_path / "out" / "sub").mkdir(parents=True)
+    cfg = write_config(tmp_path, base_config(outputs={"report": "sub"}))
+    assert cli.main(["solve", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["sub"]
+
+
+def test_sweep_csv_naming_a_directory_is_config_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.driver, "run_mrc_grid", _no_solve)
+    (tmp_path / "out" / "table").mkdir(parents=True)
+    doc = base_config(outputs={"sweep_csv": "table"})
+    doc["grid"] = {"mrc.epsilon": [1e-3, 1e-6]}
+    assert cli.main(["sweep", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+
+
+def test_sweep_csv_in_a_subdirectory(tmp_path):
+    # `mrc solve` made the parent directories of its outputs and `mrc sweep` did not
+    doc = base_config(outputs={"sweep_csv": "tables/sweep.csv"})
+    doc["grid"] = {"mrc.epsilon": [1e-3, 1e-6]}
+    assert cli.main(["sweep", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == 0
+    rows = read_csv(tmp_path / "out" / "tables" / "sweep.csv")
+    assert [row["termination"] for row in rows] == ["converged", "converged"]
