@@ -1,5 +1,8 @@
 """Batch front end: `mrc solve config.json` and `mrc sweep config.json`.
 
+One runner, run_cells, serves both commands: a solve is a one-cell group,
+so a sweep row equals the cell's solve by construction. Output paths are
+resolved under --out, and their directories made, before any solve.
 Outputs are machine-readable: a JSON solve report, a CSV convergence
 history, and (when an exact oracle is configured) a CSV of field errors on
 enclosing spheres. Every float is printed in its shortest round-trip form
@@ -27,6 +30,10 @@ EXIT_CONFIG = 2
 EXIT_GEOMETRY = 3
 EXIT_SOLVER = 4
 EXIT_NONCONVERGED = 5
+# The exit code and stderr label of each error that ends a command; a ValueError also ends a sweep cell
+EXITS = {ConfigError: (EXIT_CONFIG, "config"), GeometryError: (EXIT_GEOMETRY, "geometry"),
+         SolverError: (EXIT_SOLVER, "solver")}
+CELL_ERRORS = (*EXITS, ValueError)
 
 HISTORY_COLUMNS = [f.name for f in dataclasses.fields(driver.DegreeRecord)]
 FIELD_ERROR_COLUMNS = ["R", "l2_error", "sup_error"]
@@ -62,31 +69,27 @@ def run_cells(cells: list[RunConfig]) -> list:
         reports = [by_cell[key, cell.mrc.epsilon] for key, cell in zip(keys, cells)]
         by_radius = [fields.errors_on_enclosing_sphere([r.field for r in reports], [cell.oracle for cell in cells], R)
                      for R in first.field_radii]
-    except (ConfigError, GeometryError, SolverError, ValueError) as exc:
+    except CELL_ERRORS as exc:
         return [exc] if len(cells) == 1 else [outcome for cell in cells for outcome in run_cells([cell])]
     return [(report, [errors[i] for errors in by_radius]) for i, report in enumerate(reports)]
 
 
 def execute_run(cfg: RunConfig):
-    """Run one solve; returns (report, field_error_rows), or raises what ends it."""
-    outcome = run_cells([cfg])[0]
+    """Run one solve, a one-cell run_cells; returns (report, field_error_rows), or raises what ends it."""
+    (outcome,) = run_cells([cfg])
     if isinstance(outcome, Exception):
         raise outcome
-    report, errors = outcome
-    return report, [[R, err.l2, err.sup] for R, err in zip(cfg.field_radii, errors)]
+    return outcome[0], [[R, err.l2, err.sup] for R, err in zip(cfg.field_radii, outcome[1])]
 
 
 def output_paths(cfg: RunConfig, out_dir: Path, names: dict) -> dict:
     """Each output's path under out_dir (names: key -> default file name), with its parent
-    directory made; a ConfigError (exit 2) if a path names a directory or its parent cannot be made."""
+    directory made; a ConfigError (exit 2) if a path names a directory."""
     paths = {key: out_dir / cfg.outputs.get(key, name) for key, name in names.items()}
     for key, path in paths.items():
         if path.is_dir():
             raise ConfigError(f"outputs {key} names a directory: {path}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot make the directory of outputs {key}: {exc}") from exc
+        path.parent.mkdir(parents=True, exist_ok=True)
     return paths
 
 
@@ -94,21 +97,13 @@ def write_reports(cfg: RunConfig, report, error_rows, paths: dict, verbose: bool
     doc = report.to_dict()
     doc["config"] = cfg.to_dict()
     paths["report"].write_text(json.dumps(doc, indent=2) + "\n")
-
-    _write_csv(
-        paths["history_csv"],
-        HISTORY_COLUMNS,
-        [list(dataclasses.astuple(h)) for h in report.history],
-    )
+    _write_csv(paths["history_csv"], HISTORY_COLUMNS, [list(dataclasses.astuple(h)) for h in report.history])
     if error_rows:
         _write_csv(paths["field_error_csv"], FIELD_ERROR_COLUMNS, error_rows)
-
     if verbose:
         last = report.history[-1]
-        print(
-            f"termination={report.termination} chosen_L={report.chosen_L} "
-            f"residual={_fmt(last.residual_l2)} rel={_fmt(last.residual_rel)}"
-        )
+        print(f"termination={report.termination} chosen_L={report.chosen_L} "
+              f"residual={_fmt(last.residual_l2)} rel={_fmt(last.residual_rel)}")
 
 
 def cmd_solve(args) -> int:
@@ -156,7 +151,7 @@ def cmd_sweep(args) -> int:
             for key, value in zip(keys, values):
                 _set_by_path(doc, key, value)
             cell = RunConfig.from_dict(doc, base_dir, base=cfg)
-        except (ConfigError, GeometryError, SolverError, ValueError) as exc:
+        except CELL_ERRORS as exc:
             outcomes.append(exc)
             continue
         doc = cell.document
@@ -191,15 +186,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except GeometryError as exc:
-        print(f"geometry error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except tuple(EXITS) as exc:
+        code, label = next(exit for kind, exit in EXITS.items() if isinstance(exc, kind))
+        print(f"{label} error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -81,8 +81,7 @@ class RunConfig:
 
     @staticmethod
     def from_dict(doc: dict, base_dir: Path | None = None, base: "RunConfig | None" = None) -> "RunConfig":
-        """The parsed doc; a `base` run whose surface section equals doc's lends it its spec, and
-        with it the spec's one radius scan (a sweep passes its base config for every cell)."""
+        """The parsed doc; a `base` run with an equal surface section lends its spec and radius scan."""
         doc = _section(doc, "config", ("surface", "bc", "data", "mrc", "quadrature", "outputs", "grid"))
         for key in ("surface", "data", "mrc"):
             if key not in doc:

@@ -120,13 +120,6 @@ def ylm(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivatives: bool = Fa
     return tuple(np.concatenate([b[i] for b in blocks], axis=1) for i in range(3 if derivatives else 1))
 
 
-def _power(r: np.ndarray, e: int) -> np.ndarray:
-    """r**e against an exponent array. numpy rounds a broadcast scalar
-    exponent differently (it squares exactly for e = 2), so this keeps the
-    columns of a degree the same however many degrees are built at once."""
-    return np.power(r, np.full(r.shape, float(e)))
-
-
 def _gradient_block(ell: int, blocks: tuple, r: np.ndarray, frame: tuple) -> np.ndarray:
     """Cartesian gradients (n, 2l+1, 3) of the degree-l exterior harmonics.
 
@@ -135,7 +128,7 @@ def _gradient_block(ell: int, blocks: tuple, r: np.ndarray, frame: tuple) -> np.
     """
     Y, dYdt, dYdp = blocks
     s, rhat, that, phat = frame
-    rpow = _power(r, ell + 2)[:, None]
+    rpow = r[:, None] ** (ell + 2)
     rad = -(ell + 1) * Y / rpow
     pol = dYdt / rpow
     azi = dYdp / (s[:, None] * rpow)
@@ -146,47 +139,39 @@ def _gradient_block(ell: int, blocks: tuple, r: np.ndarray, frame: tuple) -> np.
     )
 
 
-def _angles_of(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r, theta, phi) of Cartesian points, shape (n, 3)."""
+def _angles_of(x, center=(0.0, 0.0, 0.0)) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
+    """(whether x is one point, r, theta, phi) of the Cartesian point(s) x about center."""
+    x = np.asarray(x, dtype=float)
+    points = np.atleast_2d(x) - np.asarray(center, dtype=float)
     r = np.linalg.norm(points, axis=1)
     if np.any(r == 0.0):
         raise ValueError("evaluation at the expansion center is singular")
     theta = np.arccos(np.clip(points[:, 2] / r, -1.0, 1.0))
     phi = np.arctan2(points[:, 1], points[:, 0])
-    return r, theta, phi
+    return x.ndim == 1, r, theta, phi
 
 
 def eval_Y(ell_max: int, alpha) -> np.ndarray:
     """All Y_lm at unit direction(s) alpha; |alpha| must be 1 to 1e-12."""
-    alpha = np.asarray(alpha, dtype=float)
-    single = alpha.ndim == 1
-    alpha = np.atleast_2d(alpha)
-    norms = np.linalg.norm(alpha, axis=1)
+    single, norms, theta, phi = _angles_of(alpha)
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise ValueError("alpha must be a unit vector (|alpha| = 1 to 1e-12)")
-    _, theta, phi = _angles_of(alpha)
     (Y,) = ylm(ell_max, theta, phi)
     return Y[0] if single else Y
 
 
 def eval_h(ell_max: int, x, center=(0.0, 0.0, 0.0)) -> np.ndarray:
     """Exterior harmonics h_lm(x) = Y_lm((x-c)/r) / r^(l+1), r = |x-c|."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x) - np.asarray(center, dtype=float)
-    r, theta, phi = _angles_of(pts)
-    h = np.empty((pts.shape[0], n_terms(ell_max)))
+    single, r, theta, phi = _angles_of(x, center)
+    h = np.empty((r.shape[0], n_terms(ell_max)))
     for ell, (Y, _, _) in enumerate(_legendre_blocks(ell_max, theta, phi)):
-        np.divide(Y, _power(r, ell + 1)[:, None], out=h[:, ell * ell : (ell + 1) ** 2])
+        np.divide(Y, r[:, None] ** (ell + 1), out=h[:, ell * ell : (ell + 1) ** 2])
     return h[0] if single else h
 
 
 def eval_grad_h(ell_max: int, x, center=(0.0, 0.0, 0.0)) -> np.ndarray:
     """Cartesian gradients of all h_lm at x; shape (n, K, 3) or (K, 3)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x) - np.asarray(center, dtype=float)
-    r, theta, phi = _angles_of(pts)
+    single, r, theta, phi = _angles_of(x, center)
     frame = spherical_frame(theta, phi)
     grad = np.concatenate(
         [_gradient_block(ell, blocks, r, frame)
@@ -207,7 +192,7 @@ def node_blocks(ell_max: int, rule, center, gradients: bool = False):
     r = np.linalg.norm(rule.points - np.asarray(center, dtype=float), axis=1)
     frame = spherical_frame(rule.theta, rule.phi) if gradients else None
     for ell, blocks in enumerate(_legendre_blocks(ell_max, rule.theta, rule.phi, gradients)):
-        values = blocks[0] / _power(r, ell + 1)[:, None]
+        values = blocks[0] / r[:, None] ** (ell + 1)
         if not gradients:
             yield values, None
             continue
