@@ -3,6 +3,7 @@
 One runner, run_cells, serves both commands: a solve is a one-cell group,
 so a sweep row equals the cell's solve by construction. Output paths are
 resolved under --out, and their directories made, before any solve.
+
 Outputs are machine-readable: a JSON solve report, a CSV convergence
 history, and (when an exact oracle is configured) a CSV of field errors on
 enclosing spheres. Every float is printed in its shortest round-trip form
@@ -74,14 +75,6 @@ def run_cells(cells: list[RunConfig]) -> list:
     return [(report, [errors[i] for errors in by_radius]) for i, report in enumerate(reports)]
 
 
-def execute_run(cfg: RunConfig):
-    """Run one solve, a one-cell run_cells; returns (report, field_error_rows), or raises what ends it."""
-    (outcome,) = run_cells([cfg])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome[0], [[R, err.l2, err.sup] for R, err in zip(cfg.field_radii, outcome[1])]
-
-
 def output_paths(cfg: RunConfig, out_dir: Path, names: dict) -> dict:
     """Each output's path under out_dir (names: key -> default file name), with its parent
     directory made; a ConfigError (exit 2) if a path names a directory."""
@@ -93,24 +86,36 @@ def output_paths(cfg: RunConfig, out_dir: Path, names: dict) -> dict:
     return paths
 
 
-def write_reports(cfg: RunConfig, report, error_rows, paths: dict, verbose: bool) -> None:
+def write_reports(cfg: RunConfig, report, errors, paths: dict, verbose: bool) -> None:
     doc = report.to_dict()
     doc["config"] = cfg.to_dict()
     paths["report"].write_text(json.dumps(doc, indent=2) + "\n")
-    _write_csv(paths["history_csv"], HISTORY_COLUMNS, [list(dataclasses.astuple(h)) for h in report.history])
-    if error_rows:
-        _write_csv(paths["field_error_csv"], FIELD_ERROR_COLUMNS, error_rows)
+
+    _write_csv(
+        paths["history_csv"],
+        HISTORY_COLUMNS,
+        [list(dataclasses.astuple(h)) for h in report.history],
+    )
+    if errors:
+        _write_csv(paths["field_error_csv"], FIELD_ERROR_COLUMNS,
+                   [[R, err.l2, err.sup] for R, err in zip(cfg.field_radii, errors)])
+
     if verbose:
         last = report.history[-1]
-        print(f"termination={report.termination} chosen_L={report.chosen_L} "
-              f"residual={_fmt(last.residual_l2)} rel={_fmt(last.residual_rel)}")
+        print(
+            f"termination={report.termination} chosen_L={report.chosen_L} "
+            f"residual={_fmt(last.residual_l2)} rel={_fmt(last.residual_rel)}"
+        )
 
 
 def cmd_solve(args) -> int:
     cfg = RunConfig.load(args.config)
     paths = output_paths(cfg, Path(args.out) if args.out else Path.cwd(), OUTPUT_FILES)
-    report, error_rows = execute_run(cfg)
-    write_reports(cfg, report, error_rows, paths, args.verbose)
+    (outcome,) = run_cells([cfg])  # a solve is a one-cell run
+    if isinstance(outcome, Exception):
+        raise outcome
+    report, errors = outcome
+    write_reports(cfg, report, errors, paths, args.verbose)
     return EXIT_OK if report.termination == driver.CONVERGED else EXIT_NONCONVERGED
 
 

@@ -10,7 +10,7 @@ L_max, or after a run of consecutive steps with negligible improvement
 long flat plateaus, so the patience is configurable). Over nested bases the
 residual cannot rise in exact arithmetic, but near the round-off floor it
 can in floating point (a Neumann run to the floor goes from 1.6e-12 at L=25
-to 3.0e-11 at L=37); a stagnated run reports its last fit, not its best.
+to 4.0e-12 at L=28); a stagnated run reports its last fit, not its best.
 
 The loop runs a group of cells at once (run_mrc_grid): data vectors on one
 surface, rule and bc, each under several epsilons. Each vector is a

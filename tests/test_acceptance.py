@@ -57,8 +57,8 @@ def matrix_runs():
         from mrc.config import RunConfig
 
         cfg = RunConfig.from_dict(doc)
-        report, error_rows = cli.execute_run(cfg)
-        runs[name] = (cfg, report, error_rows)
+        report, errors = cli.run_cells([cfg])[0]  # what `mrc solve` runs
+        runs[name] = (cfg, report, errors)
     runs["_elapsed"] = time.perf_counter() - t0
     return runs
 
@@ -159,8 +159,8 @@ def test_criterion_5_exterior_error_bound(matrix_runs):
     ok = True
     worst = 0.0
     for name, _ in matrix_configs():
-        _, report, error_rows = matrix_runs[name]
-        sr_error = error_rows[0][1]
+        _, report, errors = matrix_runs[name]
+        sr_error = errors[0].l2
         ratio = sr_error / report.final_residual
         worst = max(worst, ratio)
         ok &= sr_error <= 10.0 * report.final_residual
