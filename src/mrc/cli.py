@@ -192,7 +192,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(EXITS) as exc:
-        code, label = next(exit for kind, exit in EXITS.items() if isinstance(exc, kind))
+        code, label = next(value for kind, value in EXITS.items() if isinstance(exc, kind))
         print(f"{label} error: {exc}", file=sys.stderr)
         return code
 

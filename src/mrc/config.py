@@ -100,7 +100,7 @@ class RunConfig:
             if key != "field_radii" and not (isinstance(name, str) and name.split("/")[-1] not in ("", ".", "..")):
                 raise ConfigError(f"outputs {key} must be a file name, got {name!r}")
         # the spec checks the center, the preset and its parameters against geometry.PRESETS
-        same = base is not None and json.dumps(surface) == json.dumps(base.document["surface"])  # True != 1.0
+        same = base is not None and json.dumps(surface) == json.dumps(base.document["surface"])  # as JSON, 1 != true
         spec = base.spec if same else geometry.SurfaceSpec(surface.get("preset"), surface.get("params", {}),
                                                            surface.get("center", (0.0, 0.0, 0.0)))
         if bc.get("kind") not in BC_KINDS:
