@@ -3,18 +3,19 @@ falls below the target.
 
 The basis columns are nested by degree, so the weighted design matrix is
 tabulated once per run and grown as L rises: each step appends only the
-columns of its new degrees, then solves the system for degrees 0..L from
-its SVD. The loop stops at the first L whose residual is <= epsilon, at
-L_max, or after a run of consecutive steps with negligible improvement
-(default three; band-limited data orthogonal to the low degrees produces
-long flat plateaus, so the patience is configurable). Over nested bases the
-residual cannot rise in exact arithmetic, but near the round-off floor it
-can in floating point (a Neumann run to the floor goes from 1.6e-12 at L=25
-to 4.0e-12 at L=28); a stagnated run reports its last fit, not its best.
+columns of its new degrees, then solves the system for degrees 0..L by a
+Householder QR and a truncated SVD of its R (lsq.solve). The loop stops at
+the first L whose residual is <= epsilon, at L_max, or after a run of
+consecutive steps with negligible improvement (default three; band-limited
+data orthogonal to the low degrees produces long flat plateaus, so the
+patience is configurable). Over nested bases the residual cannot rise in
+exact arithmetic, but near the round-off floor it can in floating point (a
+Neumann run to the floor goes from 1.6e-12 at L=25 to 4.0e-12 at L=28); a
+stagnated run reports its last fit, not its best.
 
 The loop runs a group of cells at once (run_mrc_grid): data vectors on one
 surface, rule and bc, each under several epsilons. Each vector is a
-right-hand side of one system, so a degree costs one SVD for the group;
+right-hand side of one system, so a degree factors it once for the group;
 its residual history serves every epsilon, as stagnation does not read it.
 """
 

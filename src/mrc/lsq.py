@@ -3,11 +3,13 @@
 The discrete functional is the quadrature approximation of the squared
 L2(S) misfit; scaling rows of the design matrix and right-hand side by
 sqrt(w_i) makes ||A c - b||_2 equal that norm exactly. The solve is a
-dense SVD with relative truncation: small matrices and severe
-ill-conditioning on nonspherical surfaces. One SVD serves every
-right-hand side, each fitted by its own matrix-vector products, so a fit
-is the same to the last bit alone or among others. The retained singular
-values are a prefix (they come sorted): the factors are sliced, not copied.
+truncated SVD: small matrices and severe ill-conditioning on nonspherical
+surfaces. A tall A is first reduced by a Householder QR and the SVD taken
+of its n x n R, so A's m x n left factor is never built. One factorisation
+serves every right-hand side, each fitted by its own reflections and
+matrix-vector products, so a fit is the same to the last bit alone or
+among others. The retained singular values are a prefix (they come
+sorted): the factors are sliced, not copied.
 """
 
 from __future__ import annotations
@@ -91,8 +93,19 @@ class GrowingSystem:
         return LsqProblem(self._matrix, self._rhs, self._sqrt_w)
 
 
+def _householder_qtb(h, tau, rhs):
+    """The first n entries of Q^T rhs, for (h, tau) = np.linalg.qr(A, mode="raw")."""
+    y = rhs.copy()
+    for k, t in enumerate(tau):  # reflector k is I - t v v^T, v = (1, h[k, k+1:]), on y[k:]
+        d = t * (y[k] + h[k, k + 1:] @ y[k + 1:])
+        y[k] -= d
+        y[k + 1:] -= d * h[k, k + 1:]
+    return y[:len(tau)]
+
+
 def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
-    """Truncated-SVD minimum-norm least squares.
+    """Truncated-SVD minimum-norm least squares; a tall A = QR is solved
+    from the SVD of R, which has A's singular values.
 
     Singular values below svd_rtol * sigma_max are discarded; the solution
     is the minimum-norm minimizer over the retained subspace. Both reported
@@ -103,13 +116,15 @@ def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
     A, b = problem.matrix, problem.rhs
     if A.size == 0:
         raise SolverError("empty system")
-    if A.shape[0] < A.shape[1]:
-        warnings.warn(
-            f"underdetermined system ({A.shape[0]} rows < {A.shape[1]} cols)",
-            stacklevel=2,
-        )
+    m, n = A.shape
+    if m < n:
+        warnings.warn(f"underdetermined system ({m} rows < {n} cols)", stacklevel=2)
     try:
-        U, svals, Vt = np.linalg.svd(A, full_matrices=False)
+        if m > n:
+            h, tau = np.linalg.qr(A, mode="raw")
+            U, svals, Vt = np.linalg.svd(np.triu(h[:, :n].T))
+        else:
+            U, svals, Vt = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"SVD failed: {exc}") from exc
     keep = svals >= svd_rtol * svals[0] if svals[0] > 0 else np.zeros_like(svals, bool)
@@ -119,8 +134,8 @@ def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
 
     U, svals, Vt = U[:, :rank], svals[:rank], Vt[:rank]  # keep is a prefix: svals are sorted
     fits = []
-    for rhs in np.atleast_2d(b):  # one gemv per right-hand side, as if it were alone
-        c = Vt.T @ ((U.T @ rhs) / svals)
+    for rhs in np.atleast_2d(b):  # each right-hand side projected and fitted as if it were alone
+        c = Vt.T @ ((U.T @ (_householder_qtb(h, tau, rhs) if m > n else rhs)) / svals)
         misfit = A @ c - rhs
         fits.append((c, float(np.linalg.norm(misfit)), float(np.max(np.abs(misfit) / problem.sqrt_w))))
     c, residual, sup = fits[0] if b.ndim == 1 else map(np.array, zip(*fits))

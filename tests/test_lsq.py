@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import mrc
+from mrc import fields as F
 from mrc import geometry as G
 from mrc import harmonics as H
 from mrc import lsq
@@ -160,3 +163,80 @@ def test_lapack_failure_is_solver_error(sphere_rule):
 def test_unknown_bc_kind_rejected(sphere_rule):
     with pytest.raises(ValueError, match="unknown boundary condition"):
         lsq.GrowingSystem(sphere_rule, (0, 0, 0), np.zeros(sphere_rule.n_nodes), "neuman", 0.0, 2).extend(2)
+
+
+def svd_reference(problem, svd_rtol=lsq.SVD_RTOL):
+    """The truncated minimum-norm fit from a thin SVD of the whole of A, the
+    route a tall solve replaces: (coefficients, rank, condition, residual)."""
+    A, b = problem.matrix, problem.rhs
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    k = int(np.sum(s >= svd_rtol * s[0]))
+    c = Vt[:k].T @ ((U[:, :k].T @ b) / s[:k])
+    return c, k, s[0] / s[k - 1], np.linalg.norm(A @ c - b)
+
+
+TALL_SYSTEMS = {  # surface, bc, sigma, L
+    "spheroid-dirichlet": (G.SurfaceSpec.spheroid(1.0, 0.5), lsq.DIRICHLET, 0.0, 8),
+    "cosine_bump-neumann": (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), lsq.NEUMANN, 0.0, 8),
+    # on sphere(1), (d/dn + 1) h_00 = 0: the monopole column vanishes and the rank drops by one
+    "sphere-robin-eigenvalue": (G.SurfaceSpec.sphere(1.0), lsq.ROBIN, 1.0, 6),
+}
+
+
+@pytest.mark.parametrize("name", TALL_SYSTEMS)
+def test_qr_route_matches_svd_of_the_whole_matrix(name):
+    spec, bc, sigma, L = TALL_SYSTEMS[name]
+    rule = G.build_quadrature(spec, 24, 48)
+    data = F.boundary_data_from_oracle(rule, F.PointSource([0.3, 0.0, 0.0]), bc, sigma)
+    problem = lsq.GrowingSystem(rule, spec.center, data.values, bc, sigma, L).extend(L)
+    assert problem.matrix.shape[0] > problem.matrix.shape[1]
+    sol = lsq.solve(problem)
+    c, rank, cond, residual = svd_reference(problem)
+    assert sol.rank == rank
+    assert sol.cond_estimate == pytest.approx(cond, rel=1e-12)
+    assert np.max(np.abs(sol.coefficients - c)) <= 1e-12 * np.max(np.abs(c))
+    assert sol.residual_l2 == pytest.approx(residual, rel=1e-10)
+    if name == "sphere-robin-eigenvalue":
+        assert rank == problem.matrix.shape[1] - 1
+        assert abs(sol.coefficients[0]) <= 1e-8  # the minimum-norm fit leaves c_00 out
+
+
+def test_tall_solve_takes_the_svd_of_r_only(sphere_rule, monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: shapes.append(a.shape) or svd(a, *args, **kwargs))
+    lsq.solve(system(sphere_rule, 4, np.cos(sphere_rule.theta)))
+    assert shapes == [(25, 25)]
+
+
+def test_many_right_hand_sides_fit_as_if_alone(sphere_rule):
+    sources = ([0.3, 0.0, 0.0], [0.0, -0.2, 0.25], [0.1, 0.1, -0.4])
+    values = np.stack([F.PointSource(z)(sphere_rule.points) for z in sources])
+    problem = system(sphere_rule, 7, values)
+    together = lsq.solve(problem)
+    for i, rhs in enumerate(problem.rhs):
+        alone = lsq.solve(lsq.LsqProblem(problem.matrix, rhs, problem.sqrt_w))
+        assert np.array_equal(together.coefficients[i], alone.coefficients)
+        assert together.residual_l2[i] == alone.residual_l2
+        assert together.sup_residual[i] == alone.sup_residual
+
+
+def test_square_system_solves_without_warning():
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(12, 12)) + 12 * np.eye(12)
+    b = rng.normal(size=12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = lsq.solve(lsq.LsqProblem(matrix=A, rhs=b, sqrt_w=np.ones(12)))
+    assert sol.rank == 12
+    assert np.allclose(sol.coefficients, np.linalg.solve(A, b), rtol=1e-12, atol=1e-14)
+    assert sol.residual_l2 <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("shape", [(40, 6), (6, 6)])
+def test_nan_entry_is_solver_error_on_both_routes(shape):
+    A = np.random.default_rng(3).normal(size=shape)
+    A[shape[0] // 2, 1] = np.nan
+    problem = lsq.LsqProblem(matrix=A, rhs=np.ones(shape[0]), sqrt_w=np.ones(shape[0]))
+    with pytest.raises(SolverError, match="SVD failed"):
+        lsq.solve(problem)
