@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the checks for numeric input."""
 
+import math
 import numbers
 
 
@@ -20,13 +21,16 @@ class SolverError(MrcError):
 
 
 def require_number(name: str, value, kind: type = float):
-    """`value` as a `kind` (float or int); ConfigError for a non-number or a bool,
-    and for int also for a number with a fractional part."""
+    """`value` as a `kind` (float or int); ConfigError for a non-number, a bool,
+    NaN or an infinity (json reads NaN and Infinity), for float also for an int
+    beyond its range, and for int also for a number with a fractional part."""
     ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if ok and kind is int and not isinstance(value, numbers.Integral):
-        ok = float(value).is_integer()
+    try:
+        ok = ok and math.isfinite(value) and (kind is not int or float(value).is_integer())
+    except OverflowError:  # an int beyond the range of a float
+        ok = kind is int
     if not ok:
-        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a finite number'}, got {value!r}")
     return kind(value)
 
 

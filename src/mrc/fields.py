@@ -151,14 +151,13 @@ def error_on_enclosing_sphere(field: ExteriorField, oracle, R: float) -> SphereE
 
 def errors_on_enclosing_sphere(fields: list[ExteriorField], oracles: list, R: float) -> list[SphereError]:
     """The error of each field against its oracle on |x-c| = R. The fields share center and radii;
-    h is tabulated once, at their largest degree, and each field reads its own columns."""
-    widest = max(fields, key=lambda f: f.ell_max)
-    if R < widest.r_max:
-        raise ValueError(f"sphere radius {R} does not enclose the surface (r_max={widest.r_max})")
-    rule = geometry.build_quadrature(geometry.SurfaceSpec.sphere(R, widest.center), *ERROR_SPHERE_RULE)
-    h = harmonics.eval_h(widest.ell_max, widest._exterior_points(rule.points)[0], widest.center)
-    diffs = (h[:, : f.coefficients.shape[0]] @ f.coefficients - np.asarray(oracle(rule.points), dtype=float)
-             for f, oracle in zip(fields, oracles))
+    their values on the sphere rule's grid come from one synthesis (harmonics.sphere_grid_values)."""
+    center, r_max = fields[0].center, fields[0].r_max
+    if R < r_max:
+        raise ValueError(f"sphere radius {R} does not enclose the surface (r_max={r_max})")
+    rule = geometry.build_quadrature(geometry.SurfaceSpec.sphere(R, center), *ERROR_SPHERE_RULE)
+    values = harmonics.sphere_grid_values([f.coefficients for f in fields], R, rule.theta_line, rule.phi_line)
+    diffs = (v - np.asarray(oracle(rule.points), dtype=float) for v, oracle in zip(values, oracles))
     return [SphereError(l2=float(np.sqrt(np.sum(rule.weights * d**2))), sup=float(np.max(np.abs(d)))) for d in diffs]
 
 

@@ -154,6 +154,8 @@ for _kind in PRESETS:
 class QuadratureRule:
     """Surface nodes with weights approximating the surface integral.
 
+    The nodes are the grid of n_theta theta-lines and n_phi phi-lines,
+    theta-major: node i * n_phi + j has angles (theta_line[i], phi_line[j]).
     Immutable after construction; safe to share across threads.
     """
 
@@ -164,6 +166,21 @@ class QuadratureRule:
     weights: np.ndarray  # (n,) positive surface weights
     n_theta: int
     n_phi: int
+
+    def __post_init__(self):
+        if not (np.array_equal(self.theta, np.repeat(self.theta_line, self.n_phi))
+                and np.array_equal(self.phi, np.tile(self.phi_line, self.n_theta))):
+            raise ValueError("the nodes must be the theta-major grid of n_theta theta-lines and n_phi phi-lines")
+
+    @property
+    def theta_line(self) -> np.ndarray:
+        """The n_theta polar angles of the grid, one per theta-line."""
+        return self.theta[:: self.n_phi]
+
+    @property
+    def phi_line(self) -> np.ndarray:
+        """The n_phi azimuths of the grid, one per phi-line."""
+        return self.phi[: self.n_phi]
 
     @property
     def n_nodes(self) -> int:

@@ -48,17 +48,11 @@ def degrees(ell_max: int) -> np.ndarray:
     return np.repeat(np.arange(ell_max + 1), 2 * np.arange(ell_max + 1) + 1)
 
 
-def _by_order(m0: np.ndarray, cos_part: np.ndarray, sin_part: np.ndarray) -> np.ndarray:
-    """A degree block in flat order m = -l..l, from its m = 0 column and
-    its cos (m > 0) and sin (m < 0) parts, both listed by |m| = 1..l."""
-    return np.concatenate([sin_part[:, ::-1], m0[:, None], cos_part], axis=1)
+def _legendre(ell_max: int, theta: np.ndarray):
+    """Yield (P[l, m], P[l-1, m]) for the degrees l = 0..ell_max in turn, for
+    m = 0..l (so P[l-1, l] = 0), each of shape theta.shape + (l+1,).
 
-
-def _legendre_blocks(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivatives: bool = False):
-    """Yield (Y, dY/dtheta, dY/dphi) for the degrees l = 0..ell_max in turn.
-
-    Block l has shape (n_points, 2l+1) in flat order; the derivatives are
-    None unless requested. The fully normalized recurrence
+    The fully normalized recurrence
 
         P[m, m] = a[m, m] * sin(theta)^m
         P[l, m] = a[l, m] * cos(theta) * P[l-1, m] + b[l, m] * P[l-2, m]
@@ -67,42 +61,71 @@ def _legendre_blocks(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivativ
     degrees. The sphere normalization, with its 1/sqrt(4*pi), sits in
     a[m, m], so the real harmonics built from P are orthonormal.
     """
-    if not 0 <= ell_max <= ELL_MAX:
-        raise ValueError(f"ell_max must be in [0, {ELL_MAX}], got {ell_max}")
-    x, s = np.cos(theta), np.sin(theta)
-    if derivatives and np.any(np.abs(s) < 1e-13):
-        raise ValueError("angular derivatives are singular at the poles")
-    n = theta.shape[0]
-    az_cos = np.empty((n, ell_max + 1))
-    az_sin = np.empty((n, ell_max + 1))
-    p1 = np.empty((n, 0))  # P[l-1, m], m = 0..l-1
-    p2 = np.empty((n, 0))  # P[l-2, m], m = 0..l-2, and a zero column
+    x, s = np.cos(theta)[..., None], np.sin(theta)
+    p1 = np.empty(theta.shape + (0,))  # P[l-1, m], m = 0..l-1
+    p2 = np.empty(theta.shape + (0,))  # P[l-2, m], m = 0..l-2, and a zero column
     amm = 1.0
     for ell in range(ell_max + 1):
         m = np.arange(ell + 1)
         k = m[:-2]  # the orders that have a P[l-2, m]
-        az_cos[:, ell] = _SQRT2 * np.cos(ell * phi)
-        az_sin[:, ell] = _SQRT2 * np.sin(ell * phi)
         if ell > 0:
             amm *= (2 * ell + 1) / (2 * ell)
         a = np.sqrt((4 * ell * ell - 1) / (ell * ell - m[:-1] ** 2))
         b = np.zeros(ell)
         b[: ell - 1] = -np.sqrt((2 * ell + 1) * ((ell - 1) ** 2 - k * k) / ((2 * ell - 3) * (ell * ell - k * k)))
-        p = np.empty((n, ell + 1))
-        p[:, :ell] = a * x[:, None] * p1 + b * p2
-        p[:, ell] = math.sqrt(amm / (4.0 * math.pi)) * s**ell
-        p1, p2 = p, np.concatenate([p1, np.zeros((n, 1))], axis=1)
+        p = np.empty(theta.shape + (ell + 1,))
+        p[..., :ell] = a * x * p1 + b * p2
+        p[..., ell] = math.sqrt(amm / (4.0 * math.pi)) * s**ell
+        p1, p2 = p, np.concatenate([p1, np.zeros(theta.shape + (1,))], axis=-1)
+        yield p, p2
 
-        azc, azs = az_cos[:, 1 : ell + 1], az_sin[:, 1 : ell + 1]
-        Y = _by_order(p[:, 0], p[:, 1:] * azc, p[:, 1:] * azs)
+
+def _azimuthal(ell_max: int, phi: np.ndarray) -> np.ndarray:
+    """The azimuthal factors, shape phi.shape + (2*ell_max+1,): entry ell_max+m
+    is 1 for m = 0, sqrt(2)*cos(m*phi) for m > 0 and sqrt(2)*sin(|m|*phi) for
+    m < 0, so the degree-l slice lists the orders m = -l..l in flat order.
+    Every evaluation calls this before the recurrence, so ell_max is checked here."""
+    if not 0 <= ell_max <= ELL_MAX:
+        raise ValueError(f"ell_max must be in [0, {ELL_MAX}], got {ell_max}")
+    az = np.empty(phi.shape + (2 * ell_max + 1,))
+    az[..., ell_max] = 1.0
+    for m in range(1, ell_max + 1):
+        az[..., ell_max + m] = _SQRT2 * np.cos(m * phi)
+        az[..., ell_max - m] = _SQRT2 * np.sin(m * phi)
+    return az
+
+
+def _legendre_blocks(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivatives: bool = False):
+    """Yield (Y, dY/dtheta, dY/dphi) for the degrees l = 0..ell_max in turn.
+
+    theta and phi broadcast: equal-length arrays give scattered points, a
+    column of theta-lines against a row of phi-lines their theta-major grid.
+    The recurrence runs on theta and the sines and cosines on phi; a point's
+    value is the product of the two either way, so a grid node gets the bits
+    of its angles given point by point. Block l has shape (n_points, 2l+1) in
+    flat order; the derivatives are None unless requested.
+    """
+    s = np.sin(theta)
+    if derivatives and np.any(np.abs(s) < 1e-13):
+        raise ValueError("angular derivatives are singular at the poles")
+    x = np.cos(theta)[..., None]
+    az = _azimuthal(ell_max, phi)
+    for ell, (p, p_prev) in enumerate(_legendre(ell_max, theta)):
+        m = np.arange(-ell, ell + 1)
+        pm = p[..., np.abs(m)]  # P[l, |m|] in flat order
+        azl = az[..., ell_max - ell : ell_max + ell + 1]
+        Y = (pm * azl).reshape(-1, 2 * ell + 1)
         if not derivatives:
             yield Y, None, None
             continue
         # dP/dtheta = (l*x*P[l,m] - c[l,m]*P[l-1,m]) / sin(theta)
-        c = np.sqrt((2 * ell + 1) / (2 * ell - 1) * (ell * ell - m * m)) if ell > 0 else np.zeros(1)
-        dp = (ell * x[:, None] * p - c * p2) / s[:, None]
-        dYdt = _by_order(dp[:, 0], dp[:, 1:] * azc, dp[:, 1:] * azs)
-        dYdp = _by_order(np.zeros(n), -m[1:] * p[:, 1:] * azs, m[1:] * p[:, 1:] * azc)
+        c = np.sqrt((2 * ell + 1) / (2 * ell - 1) * (ell * ell - m[ell:] ** 2)) if ell > 0 else np.zeros(1)
+        dp = (ell * x * p - c * p_prev) / s[..., None]
+        dYdt = (dp[..., np.abs(m)] * azl).reshape(-1, 2 * ell + 1)
+        # d/dphi maps cos(m phi) to -m sin(m phi) and sin(m phi) to m cos(m phi): order m
+        # takes -m times the factor of order -m; order 0 does not depend on phi
+        dYdp = (-m * pm * azl[..., ::-1]).reshape(-1, 2 * ell + 1)
+        dYdp[:, ell] = 0.0
         yield Y, dYdt, dYdp
 
 
@@ -185,15 +208,32 @@ def node_blocks(ell_max: int, rule, center, gradients: bool = False):
     """Yield (h, n . grad h) at the rule's nodes, one (n_nodes, 2l+1) block
     per degree l = 0..ell_max; the second entry is None without gradients.
 
-    Uses the rule's (theta, phi) directly, so node angles and basis angles
-    agree exactly. A caller that needs the degrees one batch at a time
-    keeps the generator and draws further blocks from it.
+    The angles are the rule's own: the recurrence runs on its theta-lines and
+    the azimuthal factors on its phi-lines, and each node's block is bit-equal
+    to that of its angles given point by point. A caller that needs the degrees
+    one batch at a time keeps the generator and draws further blocks from it.
     """
     r = np.linalg.norm(rule.points - np.asarray(center, dtype=float), axis=1)
     frame = spherical_frame(rule.theta, rule.phi) if gradients else None
-    for ell, blocks in enumerate(_legendre_blocks(ell_max, rule.theta, rule.phi, gradients)):
+    for ell, blocks in enumerate(_legendre_blocks(ell_max, rule.theta_line[:, None], rule.phi_line, gradients)):
         values = blocks[0] / r[:, None] ** (ell + 1)
         if not gradients:
             yield values, None
             continue
         yield values, np.einsum("ij,ikj->ik", rule.normals, _gradient_block(ell, blocks, r, frame))
+
+
+def sphere_grid_values(coefficients: list[np.ndarray], radius: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The expansions sum_k c_k h_k, one per coefficient vector, on the sphere
+    |x - c| = radius about their center, at the theta-major grid of the theta-
+    and phi-lines: shape (len(coefficients), len(theta) * len(phi)). Per order
+    m, the sum over l of c_lm * radius^-(l+1) * P[l, |m|] is taken on each
+    theta-line, then multiplied by the phi-lines' azimuthal factors."""
+    ell_max = max(math.isqrt(c.shape[0]) - 1 for c in coefficients)
+    padded = np.stack([np.pad(c, (0, n_terms(ell_max) - c.shape[0])) for c in coefficients])
+    az = _azimuthal(ell_max, phi)
+    sums = np.zeros((len(coefficients), theta.shape[0], 2 * ell_max + 1))  # field, theta-line, ell_max + m
+    for ell, (p, _) in enumerate(_legendre(ell_max, theta)):
+        c = padded[:, None, ell * ell : (ell + 1) ** 2] / radius ** (ell + 1)
+        sums[:, :, ell_max - ell : ell_max + ell + 1] += c * p[:, np.abs(np.arange(-ell, ell + 1))]
+    return (sums @ az.T).reshape(len(coefficients), -1)

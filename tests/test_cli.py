@@ -316,6 +316,13 @@ def _edit(doc, dotted, value):
         "dot-report": {"outputs.report": "."},
         "dotdot-history_csv": {"outputs.history_csv": "sub/.."},
         "directory-field_error_csv": {"outputs.field_error_csv": "sub/"},
+        # json reads Infinity and long integers; these ran into the solve, past it, or to a traceback before
+        "infinite-epsilon": {"mrc.epsilon": float("inf")},
+        "infinite-svd_rtol": {"mrc.svd_rtol": float("inf")},
+        "infinite-field-radius": {"outputs.field_radii": [float("inf")]},
+        "infinite-sigma": {"bc": {"kind": "robin", "sigma": float("inf")}},
+        "infinite-q": {"data": dict(_POINT, q=float("inf"))},
+        "epsilon-beyond-float-range": {"mrc.epsilon": 10**400},
     }.items()
 ])
 def test_bad_config_value_is_config_error(tmp_path, edits):
@@ -323,6 +330,8 @@ def test_bad_config_value_is_config_error(tmp_path, edits):
     for dotted, value in edits.items():
         _edit(doc, dotted, value)
     cfg = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError):  # at load, before any quadrature is built
+        RunConfig.from_dict(json.loads(cfg.read_text()), base_dir=tmp_path)
     assert cli.main(["solve", str(cfg), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert not (tmp_path / "report.json").exists()
 

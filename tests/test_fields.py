@@ -113,6 +113,21 @@ def test_error_on_sphere_equals_explicit_tail():
     assert err.l2 == pytest.approx(tail_norm, rel=1e-10, abs=1e-14)
 
 
+def test_error_spheres_by_synthesis_match_direct_evaluation():
+    # two fields of different degree, the wider one second: each reads its own columns of the synthesis
+    rng = np.random.default_rng(4)
+    center, R = (0.1, -0.2, 0.3), 2.5
+    narrow = make_field(rng.normal(size=H.n_terms(6)), r_min=0.8, r_max=1.2, center=center)
+    wide = make_field(rng.normal(size=H.n_terms(15)), r_min=0.8, r_max=1.2, center=center)
+    oracles = [F.PointSource(center), lambda x: np.zeros(len(x))]
+    errors = F.errors_on_enclosing_sphere([narrow, wide], oracles, R)
+    rule = G.build_quadrature(G.SurfaceSpec.sphere(R, center), *F.ERROR_SPHERE_RULE)
+    for field, oracle, err in zip([narrow, wide], oracles, errors):
+        d = field(rule.points) - oracle(rule.points)
+        assert err.l2 == pytest.approx(np.sqrt(np.sum(rule.weights * d**2)), rel=1e-13)
+        assert err.sup == pytest.approx(np.max(np.abs(d)), rel=1e-13)
+
+
 def test_non_square_coefficients_rejected_at_construction():
     with pytest.raises(ValueError):
         F.ExteriorField((0.0, 0.0, 0.0), np.ones(5), 1.0, 1.0)

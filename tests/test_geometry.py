@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,20 @@ def test_radius_scan_matches_full_grid():
     nt, np_ = G._SCAN_GRID
     rho = spec.rho(np.linspace(0.0, np.pi, nt)[:, None], np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)[None, :])
     assert G.radius_bounds(spec) == (rho.min(), rho.max() * (1.0 + 1e-9))
+
+
+def test_rule_that_is_not_the_theta_phi_grid_is_refused():
+    rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0), 6, 10)
+    assert np.array_equal(rule.theta_line, np.unique(rule.theta))
+    assert np.array_equal(rule.phi_line, 2.0 * np.pi * np.arange(10) / 10)
+    dataclasses.replace(rule)  # the grid itself is accepted
+    perm = np.random.default_rng(0).permutation(rule.n_nodes)
+    arrays = ("theta", "phi", "points", "normals", "weights")
+    for changes in (
+        {name: getattr(rule, name)[perm] for name in arrays},  # scattered nodes
+        {"theta": np.tile(rule.theta_line, 10), "phi": np.repeat(rule.phi_line, 6)},  # phi-major
+        {"n_theta": 10, "n_phi": 6},  # the shape read the other way
+        {name: getattr(rule, name)[:-1] for name in arrays},  # a node short
+    ):
+        with pytest.raises(ValueError, match="theta-major grid"):
+            dataclasses.replace(rule, **changes)

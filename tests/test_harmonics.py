@@ -170,3 +170,27 @@ def test_pole_derivatives_rejected():
 def test_ell_max_cap():
     with pytest.raises(ValueError):
         H.eval_Y(65, [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("gradients", [False, True])
+def test_grid_blocks_equal_scattered_blocks(gradients):
+    # The benchmark's floor stop sits at round-off, so the grid path must not move a bit of the design matrix.
+    spec = G.SurfaceSpec.cosine_bump(1.0, 0.2)
+    rule = G.build_quadrature(spec, 42, 82)
+    L = 20
+    scattered = list(H._legendre_blocks(L, rule.theta, rule.phi, gradients))
+    grid = list(H._legendre_blocks(L, rule.theta_line[:, None], rule.phi_line, gradients))
+    assert len(grid) == len(scattered) == L + 1
+    for a, b in zip(grid, scattered):
+        assert all(x is y is None or np.array_equal(x, y) for x, y in zip(a, b))
+    # node_blocks against the same quantities formed from the scattered blocks
+    r = np.linalg.norm(rule.points - np.asarray(spec.center), axis=1)
+    frame = G.spherical_frame(rule.theta, rule.phi)
+    nodes = list(H.node_blocks(L, rule, spec.center, gradients))
+    assert len(nodes) == L + 1
+    for ell, ((h, dn), blocks) in enumerate(zip(nodes, scattered)):
+        assert np.array_equal(h, blocks[0] / r[:, None] ** (ell + 1))
+        if gradients:
+            assert np.array_equal(dn, np.einsum("ij,ikj->ik", rule.normals, H._gradient_block(ell, blocks, r, frame)))
+        else:
+            assert dn is None
