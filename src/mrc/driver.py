@@ -3,20 +3,20 @@ falls below the target.
 
 The basis columns are nested by degree, so the weighted design matrix is
 tabulated once per run and grown as L rises: each step appends only the
-columns of its new degrees, then solves the system for degrees 0..L by a
-Householder QR and a truncated SVD of its R (lsq.solve). The loop stops at
-the first L whose residual is <= epsilon, at L_max, or after a run of
-consecutive steps with negligible improvement (default three; band-limited
-data orthogonal to the low degrees produces long flat plateaus, so the
-patience is configurable). Over nested bases the residual cannot rise in
-exact arithmetic, but near the round-off floor it can in floating point (a
-Neumann run to the floor goes from 1.6e-12 at L=25 to 4.0e-12 at L=28); a
-stagnated run reports its last fit, not its best.
+columns of its new degrees, solves the system for degrees 0..L by a
+Householder QR and a truncated SVD of its R (lsq.solve), and adds a row to
+one table: the DegreeRecord of every data vector, and the fit. One rule,
+stop, ends a vector's history at an epsilon: at the first row <= epsilon
+(converged); else after stagnation_patience steps in a row, each above
+stagnation_factor x the step before (stagnated); else where it runs out:
+at L_max or, if LAPACK fails part-way, as stagnated. A stagnated run
+reports its last fit, not its best: near the round-off floor the residual
+can rise (a Neumann run to the floor: 1.6e-12 at L=25, 4.0e-12 at L=28).
 
 The loop runs a group of cells at once (run_mrc_grid): data vectors on one
-surface, rule and bc, each under several epsilons. Each vector is a
-right-hand side of one system, so a degree factors it once for the group;
-its residual history serves every epsilon, as stagnation does not read it.
+surface, rule and bc, each under several epsilons, are the right-hand sides
+of one system. It ends once stop ends every vector at the smallest epsilon;
+each report is the table sliced at its stop.
 """
 
 from __future__ import annotations
@@ -113,6 +113,16 @@ class SolveReport:
         }
 
 
+def stop(residuals: list[float], epsilon: float, cfg: MrcConfig) -> tuple[int, str | None]:
+    """(rows up to the stop, termination or None if they ran out) of residuals at epsilon; cfg.epsilon is unread."""
+    stagnant = 0
+    for n, residual in enumerate(residuals, 1):
+        stagnant = stagnant + 1 if n > 1 and residual > cfg.stagnation_factor * residuals[n - 2] else 0
+        if residual <= epsilon or stagnant >= cfg.stagnation_patience:
+            return n, CONVERGED if residual <= epsilon else STAGNATED
+    return len(residuals), None
+
+
 def run_mrc(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule,
             data: fields.BoundaryData, cfg: MrcConfig) -> SolveReport:
     """Adaptive fit of exterior harmonics to the boundary data; see run_mrc_grid."""
@@ -140,46 +150,35 @@ def run_mrc_grid(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule, data
     system = lsq.GrowingSystem(rule, spec.center, np.stack([d.values for d in data]), data[0].bc, data[0].sigma, L_max)
     r_min, r_max = geometry.radius_bounds(spec)
     f_norms = [float(np.sqrt(np.sum(rule.weights * d.values**2))) for d in data]
-    # per data vector: its history, the coefficients where some epsilon is first met (by history
-    # length) and the latest, why the history stopped (every epsilon met, or stagnation), stagnant steps
-    rows, kept, latest = [[] for _ in data], [{} for _ in data], [None] * len(data)
-    stops, stagnant = [None] * len(data), [0] * len(data)
+    # one row per degree, [records, fit]; a fit is kept while its row is the last or some stop ends there
+    table, ran_out = [], L_MAX_REACHED
+
+    def stop_at(i: int, epsilon: float) -> tuple[int, str | None]:
+        return stop([records[i].residual_l2 for records, _ in table], epsilon, cfg)
     for L in range(cfg.L_start, L_max + 1, cfg.L_step):
-        if all(stops):
+        if all(stop_at(i, min(epsilons))[1] for i in range(len(data))):
             break
         try:
             sol = lsq.solve(system.extend(L), cfg.svd_rtol)
         except SolverError:
-            stops = [stop or STAGNATED for stop in stops]
+            ran_out = STAGNATED
             break
-        for i in [i for i, stop in enumerate(stops) if not stop]:
-            residual, prev = float(sol.residual_l2[i]), [h.residual_l2 for h in rows[i]]
-            rows[i].append(DegreeRecord(
-                L=L, residual_l2=residual, residual_rel=residual / f_norms[i] if f_norms[i] > 0 else 0.0,
-                sup_residual=float(sol.sup_residual[i]), rank=sol.rank, cond_estimate=sol.cond_estimate,
-            ))
-            latest[i] = sol.coefficients[i]
-            if any(residual <= epsilon < min(prev, default=np.inf) for epsilon in epsilons):
-                kept[i][len(rows[i])] = latest[i]
-            if residual <= min(epsilons):
-                stops[i] = CONVERGED
-            elif prev and residual > cfg.stagnation_factor * prev[-1]:
-                stagnant[i] += 1
-                if stagnant[i] >= cfg.stagnation_patience:
-                    stops[i] = STAGNATED
-            else:
-                stagnant[i] = 0
-    if not rows[0]:
+        table.append([tuple(DegreeRecord(L, r, r / f if f > 0 else 0.0, sup, sol.rank, sol.cond_estimate)
+                            for r, sup, f in zip(sol.residual_l2.tolist(), sol.sup_residual.tolist(), f_norms)),
+                      sol.coefficients])
+        if len(table) > 1 and len(table) - 1 not in {stop_at(i, e)[0] for i in range(len(data)) for e in epsilons}:
+            table[-2][1] = None
+    if not table:
         raise SolverError("adaptive loop terminated before completing a single solve")
 
     def report(i: int, epsilon: float) -> SolveReport:
-        n = next((n for n, h in enumerate(rows[i], 1) if h.residual_l2 <= epsilon), None)  # rows up to the stop
-        coeffs = kept[i][n] if n else latest[i]
+        n, termination = stop_at(i, epsilon)
+        records, fit = table[n - 1]
         return SolveReport(
-            history=tuple(rows[i][:n]), chosen_L=rows[i][n - 1].L if n else None, coefficients=coeffs,
-            termination=CONVERGED if n else stops[i] or L_MAX_REACHED, f_norm=f_norms[i], epsilon=epsilon,
+            history=tuple(row[0][i] for row in table[:n]), chosen_L=records[i].L if termination == CONVERGED else None,
+            coefficients=fit[i], termination=termination or ran_out, f_norm=f_norms[i], epsilon=epsilon,
             svd_rtol=cfg.svd_rtol, bc=data[i].bc, sigma=data[i].sigma, rule_refined=refined,
-            fd_derivatives=spec.uses_fd_derivatives, field=fields.ExteriorField(spec.center, coeffs, r_min, r_max),
+            fd_derivatives=spec.uses_fd_derivatives, field=fields.ExteriorField(spec.center, fit[i], r_min, r_max),
         )
 
     return [[report(i, epsilon) for epsilon in epsilons] for i in range(len(data))]

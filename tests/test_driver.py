@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from mrc import fields as F
 from mrc import geometry as G
 from mrc import harmonics as H
 from mrc import lsq
-from mrc.errors import ConfigError
+from mrc.errors import ConfigError, SolverError
 
 
 def band_limited_data(rule, ell, m):
@@ -215,3 +217,75 @@ def test_growing_system_matches_rebuild(bc, sigma, steps):
         assert (h.residual_l2, h.rank, h.cond_estimate) == (sol.residual_l2, sol.rank, sol.cond_estimate)
         field = F.ExteriorField(spec.center, sol.coefficients, report.field.r_min, report.field.r_max)
         assert h.sup_residual == pytest.approx(F.sup_residual(rule, field, data), rel=1e-8)
+
+
+@pytest.mark.parametrize("residuals, epsilon, expected", [
+    ([1e-7, 1e-8], 1e-6, (1, D.CONVERGED)),
+    ([1.0, 1.0, 1.0], 1e-6, (3, None)),  # two flat steps: one short of the patience
+    ([1.0, 1.0, 1.0, 1.0, 1.0], 1e-6, (4, D.STAGNATED)),  # the third flat step ends the plateau
+    ([1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5], 1e-6, (7, D.STAGNATED)),  # the halving resets the count
+    ([1.0, 0.1, 0.2, 0.3, 0.4], 1e-6, (5, D.STAGNATED)),  # a rise after the best degree
+    ([1.0, 0.5, 0.25], 0.1, (3, None)),  # the history runs out
+    ([1.0, 0.5, 0.25, 0.05], 0.1, (4, D.CONVERGED)),
+    ([], 1e-6, (0, None)),
+], ids=["converged-at-row-1", "plateau-one-short", "plateau", "reset", "rise", "ran-out", "converged", "empty"])
+def test_stop_on_synthetic_histories(residuals, epsilon, expected):
+    assert D.stop(residuals, epsilon, D.MrcConfig(epsilon=1.0)) == expected
+
+
+def test_stagnation_row_does_not_depend_on_epsilon():
+    # both epsilons lie below the whole history, so both stop where the plateau ends
+    residuals, cfg = [1.0, 0.5, 0.5, 0.5, 0.5, 0.5], D.MrcConfig(epsilon=1.0)
+    assert D.stop(residuals, 1e-3, cfg) == D.stop(residuals, 1e-9, cfg) == (5, D.STAGNATED)
+
+
+def neumann_sources_on_spheroid():
+    # two off-center sources and a centered one, whose field is a pure monopole (converged at L=2)
+    spec = G.SurfaceSpec.spheroid(1.0, 0.5)
+    rule = G.auto_quadrature(spec, 30)
+    sources = [(0.3, 0.0, 0.0), (0.0, 0.1, 0.25), (0.0, 0.0, 0.0)]
+    return spec, rule, [F.boundary_data_from_oracle(rule, F.PointSource(z), lsq.NEUMANN) for z in sources]
+
+
+def test_grid_reports_equal_single_runs():
+    spec, rule, data = neumann_sources_on_spheroid()
+    epsilons = [1e-2, 1e-6, 1e-16]
+    grid = D.run_mrc_grid(spec, rule, data, D.MrcConfig(epsilon=1.0, L_max=30), epsilons)
+    assert [[r.termination for r in row] for row in grid] == [
+        [D.CONVERGED, D.CONVERGED, D.L_MAX_REACHED]] * 2 + [[D.CONVERGED, D.CONVERGED, D.STAGNATED]]
+    for row, d in zip(grid, data):
+        for report, epsilon in zip(row, epsilons):
+            alone = D.run_mrc(spec, rule, d, D.MrcConfig(epsilon=epsilon, L_max=30))
+            assert json.dumps(report.to_dict()) == json.dumps(alone.to_dict())
+
+
+def failing_on_call(k):
+    calls, solve = [], lsq.solve
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == k:
+            raise SolverError("SVD failed")
+        return solve(*args, **kwargs)
+    return failing
+
+
+def test_solver_error_on_the_first_solve(monkeypatch):
+    spec, rule, data = neumann_sources_on_spheroid()
+    monkeypatch.setattr(D.lsq, "solve", failing_on_call(1))
+    with pytest.raises(SolverError, match="adaptive loop terminated before completing a single solve"):
+        D.run_mrc_grid(spec, rule, data, D.MrcConfig(epsilon=1.0, L_max=30), [1e-2, 1e-6])
+
+
+def test_solver_error_part_way_reads_stagnated(monkeypatch):
+    # the sixth solve (L=7) fails: histories that had not stopped end at five rows as stagnated
+    spec, rule, data = neumann_sources_on_spheroid()
+    monkeypatch.setattr(D.lsq, "solve", failing_on_call(6))
+    grid = D.run_mrc_grid(spec, rule, data, D.MrcConfig(epsilon=1.0, L_max=30), [1e-2, 1e-6])
+    assert [[(r.termination, r.chosen_L, len(r.history)) for r in row] for row in grid] == [
+        [(D.CONVERGED, 5, 4), (D.STAGNATED, None, 5)],
+        [(D.CONVERGED, 4, 3), (D.STAGNATED, None, 5)],
+        [(D.CONVERGED, 2, 1), (D.CONVERGED, 2, 1)],
+    ]
+    # a history cut short reports the fit of its last row, L=6
+    assert [r.coefficients.shape for r in grid[1]] == [(H.n_terms(4),), (H.n_terms(6),)]
