@@ -3,9 +3,9 @@
 RunConfig.from_dict runs every check before any quadrature is built (only
 tabulated samples wait for the nodes); each failure is a ConfigError (exit
 2): a key outside the schema below, a value of the wrong type or range, a
-point source outside the inscribed sphere, a field radius inside the
-surface. "grid" turns a run into a sweep of at most 10000 cells (see cli);
-the document without it must itself be a valid run.
+fixed rule under 2 x 4 nodes or, for tabulated data, short of L_start, a
+source outside the inscribed sphere, a field radius inside the surface. A
+"grid" sweep has at most 10000 cells (see cli); its base must be a valid run.
 
     {
       "surface": {"preset": "sphere" | "spheroid" | "cosine_bump",
@@ -116,6 +116,7 @@ class RunConfig:
             if not isinstance(quadrature, dict) or set(quadrature) != {"n_theta", "n_phi"}:
                 raise ConfigError('quadrature must be "auto" or {"n_theta": ..., "n_phi": ...}')
             quadrature = tuple(require_number(f"quadrature {k}", quadrature[k], int) for k in ("n_theta", "n_phi"))
+        resolved = mrc.L_max if quadrature == "auto" else geometry.max_degree(*quadrature)  # also the 2 x 4 check
         for key, vals in grid.items():
             if not isinstance(vals, list):
                 raise ConfigError(f"grid entry {key!r} must be a list of values")
@@ -124,6 +125,8 @@ class RunConfig:
             raise ConfigError(f"sweep grid has {n_cells} cells (limit 10000)")
         # the checks that need the surface's radius scan come last
         oracle, samples = _data_source(doc["data"], spec, base_dir)
+        if oracle is None and resolved < mrc.L_start:  # the driver cannot resample tabulated data on a finer rule
+            raise ConfigError(f"tabulated data on a {quadrature} rule, which resolves degree {resolved} < L_start")
         field_radii = _field_radii(doc["outputs"], spec)
         return RunConfig(
             spec=spec, bc=bc["kind"], sigma=sigma, oracle=oracle, samples=samples, mrc=mrc,

@@ -133,19 +133,17 @@ def run_mrc_grid(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule, data
                  cfg: MrcConfig, epsilons: list[float]) -> list[list[SolveReport]]:
     """reports[i][j] is the fit of data[i] with cfg at epsilons[j] (cfg.epsilon is not read).
 
-    The data share bc, sigma and whether they have an oracle. If the rule cannot resolve degrees up
-    to L_max it is refined automatically (and the data resampled via its oracle); tabulated data
-    without an oracle instead caps the effective L_max at what the rule resolves. Either adjustment
-    is recorded in the report."""
-    L_max = cfg.L_max
-    refined = not rule.resolves(L_max)
+    The data share bc, sigma and whether they have an oracle. If geometry.max_degree of the rule is
+    below L_max, the rule is refined (and the data resampled via its oracle); tabulated data instead
+    caps L_max at it, a ConfigError if that is below L_start (a RunConfig checks this at load).
+    Either adjustment is recorded in the report as rule_refined."""
+    refined = geometry.max_degree(rule.n_theta, rule.n_phi) < cfg.L_max
     if refined and data[0].oracle is not None:
-        rule = geometry.auto_quadrature(spec, L_max)
+        rule = geometry.auto_quadrature(spec, cfg.L_max)
         data = [fields.boundary_data_from_oracle(rule, d.oracle, d.bc, d.sigma) for d in data]
-    elif refined:
-        L_max = min(rule.n_theta - 1, (rule.n_phi - 1) // 2)
-        if L_max < cfg.L_start:
-            raise ConfigError("quadrature rule cannot resolve L_start and tabulated data cannot be resampled")
+    L_max = min(cfg.L_max, geometry.max_degree(rule.n_theta, rule.n_phi))
+    if L_max < cfg.L_start:
+        raise ConfigError("quadrature rule cannot resolve L_start and tabulated data cannot be resampled")
 
     system = lsq.GrowingSystem(rule, spec.center, np.stack([d.values for d in data]), data[0].bc, data[0].sigma, L_max)
     r_min, r_max = geometry.radius_bounds(spec)

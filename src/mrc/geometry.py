@@ -190,10 +190,6 @@ class QuadratureRule:
     def area(self) -> float:
         return float(self.weights.sum())
 
-    def resolves(self, ell_max: int) -> bool:
-        """Whether discrete orthonormality holds through degree ell_max."""
-        return self.n_theta >= ell_max + 1 and self.n_phi >= 2 * ell_max + 1
-
 
 def spherical_frame(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
     """sin(theta) and the unit vectors r-hat, theta-hat, phi-hat, each (n, 3)."""
@@ -205,10 +201,16 @@ def spherical_frame(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...
     return s, rhat, that, phat
 
 
-def build_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> QuadratureRule:
-    """Gauss-Legendre (cos theta) x trapezoid (phi) rule on the surface."""
+def max_degree(n_theta: int, n_phi: int) -> int:
+    """The highest degree through which an n_theta x n_phi rule keeps discrete orthonormality."""
     if n_theta < 2 or n_phi < 4:
         raise ConfigError(f"need n_theta >= 2 and n_phi >= 4, got ({n_theta}, {n_phi})")
+    return min(n_theta - 1, (n_phi - 1) // 2)
+
+
+def build_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> QuadratureRule:
+    """Gauss-Legendre (cos theta) x trapezoid (phi) rule on the surface."""
+    max_degree(n_theta, n_phi)  # the size check
 
     xg, wg = np.polynomial.legendre.leggauss(n_theta)
     theta_1d = np.arccos(xg)  # decreasing in x -> increasing theta ordering below
@@ -243,8 +245,8 @@ def build_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> QuadratureR
 
 
 def auto_quadrature(spec: SurfaceSpec, L_max: int) -> QuadratureRule:
-    """The default rule for degrees up to L_max: n_theta = L_max+2, n_phi = 2*L_max+2."""
-    return build_quadrature(spec, L_max + 2, 2 * L_max + 2)
+    """The default rule for degrees up to L_max: n_theta = L_max+2, n_phi = 2*L_max+2 (at least 4)."""
+    return build_quadrature(spec, L_max + 2, max(2 * L_max + 2, 4))
 
 
 _SCAN_GRID = (1441, 2880)  # dense angular grid for radius extrema

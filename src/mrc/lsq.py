@@ -4,8 +4,8 @@ The discrete functional is the quadrature approximation of the squared
 L2(S) misfit; scaling rows of the design matrix and right-hand side by
 sqrt(w_i) makes ||A c - b||_2 equal that norm exactly. The solve is a
 truncated SVD: small matrices and severe ill-conditioning on nonspherical
-surfaces. A tall A is first reduced by a Householder QR and the SVD taken
-of its n x n R, so A's m x n left factor is never built. One factorisation
+surfaces. A is first reduced by a Householder QR and the SVD taken of its
+R, so A's m x n left factor is never built. One factorisation
 serves every right-hand side, each fitted by its own reflections and
 matrix-vector products, so a fit is the same to the last bit alone or
 among others. The retained singular values are a prefix (they come
@@ -94,7 +94,7 @@ class GrowingSystem:
 
 
 def _householder_qtb(h, tau, rhs):
-    """The first n entries of Q^T rhs, for (h, tau) = np.linalg.qr(A, mode="raw")."""
+    """The first min(m, n) entries of Q^T rhs, for (h, tau) = np.linalg.qr(A, mode="raw")."""
     y = rhs.copy()
     for k, t in enumerate(tau):  # reflector k is I - t v v^T, v = (1, h[k, k+1:]), on y[k:]
         d = t * (y[k] + h[k, k + 1:] @ y[k + 1:])
@@ -104,8 +104,8 @@ def _householder_qtb(h, tau, rhs):
 
 
 def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
-    """Truncated-SVD minimum-norm least squares; a tall A = QR is solved
-    from the SVD of R, which has A's singular values.
+    """Truncated-SVD minimum-norm least squares of any shape: A = QR is solved
+    from the SVD of R (upper trapezoidal if A is wide), which has A's singular values.
 
     Singular values below svd_rtol * sigma_max are discarded; the solution
     is the minimum-norm minimizer over the retained subspace. Both reported
@@ -120,11 +120,8 @@ def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
     if m < n:
         warnings.warn(f"underdetermined system ({m} rows < {n} cols)", stacklevel=2)
     try:
-        if m > n:
-            h, tau = np.linalg.qr(A, mode="raw")
-            U, svals, Vt = np.linalg.svd(np.triu(h[:, :n].T))
-        else:
-            U, svals, Vt = np.linalg.svd(A, full_matrices=False)
+        h, tau = np.linalg.qr(A, mode="raw")
+        U, svals, Vt = np.linalg.svd(np.triu(h[:, :n].T))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"SVD failed: {exc}") from exc
     keep = svals >= svd_rtol * svals[0] if svals[0] > 0 else np.zeros_like(svals, bool)
@@ -135,7 +132,7 @@ def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
     U, svals, Vt = U[:, :rank], svals[:rank], Vt[:rank]  # keep is a prefix: svals are sorted
     fits = []
     for rhs in np.atleast_2d(b):  # each right-hand side projected and fitted as if it were alone
-        c = Vt.T @ ((U.T @ (_householder_qtb(h, tau, rhs) if m > n else rhs)) / svals)
+        c = Vt.T @ ((U.T @ _householder_qtb(h, tau, rhs)) / svals)
         misfit = A @ c - rhs
         fits.append((c, float(np.linalg.norm(misfit)), float(np.max(np.abs(misfit) / problem.sqrt_w))))
     c, residual, sup = fits[0] if b.ndim == 1 else map(np.array, zip(*fits))

@@ -44,6 +44,14 @@ def test_solve_band_limited(tmp_path):
     assert report["termination"] == "converged"
 
 
+def test_solve_at_degree_zero_on_the_auto_rule(tmp_path):
+    # the auto rule for L_max = 0 is the 2 x 4 minimum, not a 2 x 2 rule that exits 2 after making the outputs
+    doc = base_config(data={"type": "band_limited", "coefficients": [[0, 0, 1.0]]},
+                      mrc={"epsilon": 1e-10, "L_start": 0, "L_max": 0})
+    assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["chosen_L"] == 0
+
+
 def test_negative_epsilon_is_config_error(tmp_path):
     doc = base_config()
     doc["mrc"]["epsilon"] = -1.0
@@ -295,6 +303,7 @@ def _edit(doc, dotted, value):
         "no-epsilon": {"mrc.epsilon": _DELETE},
         "string-n_theta": {"quadrature": {"n_theta": "x", "n_phi": 26}},
         "quadrature-n_r": {"quadrature": {"n_theta": 14, "n_phi": 26, "n_r": 3}},
+        "quadrature-below-2x4": {"quadrature": {"n_theta": 1, "n_phi": 4}},
         "outputs-reprot": {"outputs.reprot": "r.json"},
         "top-level-bogus": {"bogus": 1},
         "nan-source": {"data": dict(_POINT, z=[float("nan"), 0.0, 0.0])},
@@ -417,6 +426,27 @@ def test_tabulated_field_radii_checked(tmp_path):
         assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]) == code
     assert (tmp_path / "report.json").exists()
     assert not (tmp_path / "field_errors.csv").exists()  # no oracle, no field errors
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("case", ["quadrature-below-2x4", "tabulated-short-of-L_start"])
+def test_rule_checked_at_load_before_any_output(tmp_path, case, command):
+    # these failed only in the driver, after the output directories were made (and a sweep exited 0)
+    if case == "quadrature-below-2x4":
+        doc = base_config(quadrature={"n_theta": 1, "n_phi": 4})
+    else:
+        rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0), 4, 8)  # resolves degree 3
+        lines = ["theta,phi,f"] + [f"{t!r},{p!r},1.0" for t, p in zip(rule.theta, rule.phi)]
+        (tmp_path / "samples.csv").write_text("\n".join(lines) + "\n")
+        doc = base_config(data={"type": "tabulated", "path": "samples.csv"}, quadrature={"n_theta": 4, "n_phi": 8},
+                          mrc={"epsilon": 1e-6, "L_start": 5, "L_max": 12})
+    doc["outputs"] = {"report": "sub/report.json", "sweep_csv": "sub/sweep.csv"}
+    doc["grid"] = {"mrc.epsilon": [1e-4, 1e-6]}
+    cfg = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict(json.loads(cfg.read_text()), base_dir=tmp_path)
+    assert cli.main([command, str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_floats_read_back_as_written(tmp_path):

@@ -113,6 +113,8 @@ def test_tabulated_data_clamps_L_max():
     report = D.run_mrc(spec, coarse, data, D.MrcConfig(epsilon=1e-20, L_max=40))
     assert report.rule_refined  # flagged: resolution was adjusted
     assert max(h.L for h in report.history) <= 7
+    with pytest.raises(ConfigError, match="L_start"):  # a library call is not checked at load
+        D.run_mrc(spec, coarse, data, D.MrcConfig(epsilon=1e-20, L_start=8, L_max=40))
 
 
 def test_neumann_data_from_potential_centered():

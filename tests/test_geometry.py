@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mrc import geometry as G
+from mrc import harmonics as H
 from mrc.errors import ConfigError, GeometryError
 
 
@@ -96,6 +97,16 @@ def test_node_count_minimums():
         G.build_quadrature(G.SurfaceSpec.sphere(1.0), 1, 32)
     with pytest.raises(ConfigError):
         G.build_quadrature(G.SurfaceSpec.sphere(1.0), 8, 3)
+
+
+def test_max_degree_of_the_auto_rule_and_every_system_is_tall():
+    # the auto rule for L >= 1 resolves exactly L (for L = 0 it is the 2 x 4 minimum); on any rule, the
+    # degrees it resolves have fewer columns, (L+1)^2, than it has nodes: every system the loop solves is tall
+    assert all(G.max_degree(L + 2, 2 * L + 2) == L for L in range(1, H.ELL_MAX + 1))
+    assert G.max_degree(2, 4) == 1
+    for n_theta in range(2, H.ELL_MAX + 3):
+        for n_phi in range(4, 2 * H.ELL_MAX + 3):
+            assert n_theta * n_phi > (G.max_degree(n_theta, n_phi) + 1) ** 2
 
 
 def test_negative_radius_surface_rejected():

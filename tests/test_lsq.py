@@ -201,12 +201,18 @@ def test_qr_route_matches_svd_of_the_whole_matrix(name):
         assert abs(sol.coefficients[0]) <= 1e-8  # the minimum-norm fit leaves c_00 out
 
 
+@pytest.mark.filterwarnings("ignore:underdetermined system")
 def test_tall_solve_takes_the_svd_of_r_only(sphere_rule, monkeypatch):
-    shapes = []
+    # a square or wide system takes the same route: the SVD of its upper-triangular (trapezoidal) R
+    factored = []
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: shapes.append(a.shape) or svd(a, *args, **kwargs))
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: factored.append(a) or svd(a, *args, **kwargs))
     lsq.solve(system(sphere_rule, 4, np.cos(sphere_rule.theta)))
-    assert shapes == [(25, 25)]
+    rng = np.random.default_rng(7)
+    for m, n in ((12, 12), (5, 8)):
+        lsq.solve(lsq.LsqProblem(matrix=rng.normal(size=(m, n)), rhs=rng.normal(size=m), sqrt_w=np.ones(m)))
+    assert [a.shape for a in factored] == [(25, 25), (12, 12), (5, 8)]
+    assert all(np.array_equal(a, np.triu(a)) for a in factored)
 
 
 def test_many_right_hand_sides_fit_as_if_alone(sphere_rule):
@@ -233,7 +239,8 @@ def test_square_system_solves_without_warning():
     assert sol.residual_l2 <= 1e-12 * np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("shape", [(40, 6), (6, 6)])
+@pytest.mark.filterwarnings("ignore:underdetermined system")
+@pytest.mark.parametrize("shape", [(40, 6), (6, 6), (5, 8)])
 def test_nan_entry_is_solver_error_on_both_routes(shape):
     A = np.random.default_rng(3).normal(size=shape)
     A[shape[0] // 2, 1] = np.nan
