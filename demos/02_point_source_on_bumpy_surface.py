@@ -18,7 +18,7 @@ oracle = mrc.PointSource([0.3, 0.0, 0.0])
 for bc, sigma in [("dirichlet", 0.0), ("neumann", 0.0), ("robin", 1.0)]:
     data = mrc.boundary_data_from_oracle(rule, oracle, bc, sigma)
     report = mrc.run_mrc(spec, rule, data, mrc.MrcConfig(epsilon=1e-6))
-    R = 2.0 * mrc.enclosing_radius(spec)
+    R = 2.0 * mrc.radius_bounds(spec)[1]  # twice the enclosing radius
     err = mrc.error_on_enclosing_sphere(report.field, oracle, R)
     print(
         f"{bc:9s}: chosen L = {report.chosen_L:2d}, "

@@ -9,7 +9,7 @@ sphere. The boundary residual controls the exterior error, which the test
 suite verifies empirically against exact harmonic oracles.
 """
 
-from .driver import CONVERGED, L_MAX_REACHED, STAGNATED, MrcConfig, SolveReport, neumann_data_from_potential, run_mrc
+from .driver import CONVERGED, L_MAX_REACHED, STAGNATED, MrcConfig, SolveReport, run_mrc
 from .errors import ConfigError, GeometryError, MrcError, SolverError
 from .fields import (
     BandLimited,
@@ -21,7 +21,7 @@ from .fields import (
     multipole_coefficients,
     sup_residual,
 )
-from .geometry import QuadratureRule, SurfaceSpec, build_quadrature, enclosing_radius, inscribed_radius, radius_bounds
+from .geometry import QuadratureRule, SurfaceSpec, build_quadrature, radius_bounds
 from .harmonics import ELL_MAX, eval_Y, eval_grad_h, eval_h, flatten, n_terms, unflatten
 from .lsq import DIRICHLET, NEUMANN, ROBIN, LsqProblem, LsqSolution, solve
 
@@ -32,8 +32,7 @@ __all__ = [
     "ExteriorField", "GeometryError", "L_MAX_REACHED", "LsqProblem", "LsqSolution",
     "MrcConfig", "MrcError", "NEUMANN", "PointSource", "QuadratureRule", "ROBIN",
     "STAGNATED", "SolveReport", "SolverError", "SurfaceSpec", "boundary_data_from_oracle",
-    "build_quadrature", "enclosing_radius", "error_on_enclosing_sphere", "eval_Y",
-    "eval_grad_h", "eval_h", "flatten", "inscribed_radius", "multipole_coefficients",
-    "n_terms", "neumann_data_from_potential", "radius_bounds", "run_mrc", "solve", "sup_residual",
-    "unflatten",
+    "build_quadrature", "error_on_enclosing_sphere", "eval_Y", "eval_grad_h", "eval_h",
+    "flatten", "multipole_coefficients", "n_terms", "radius_bounds", "run_mrc", "solve",
+    "sup_residual", "unflatten",
 ]

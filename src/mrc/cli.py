@@ -76,13 +76,16 @@ def run_cells(cells: list[RunConfig]) -> list:
 
 
 def output_paths(cfg: RunConfig, out_dir: Path, names: dict) -> dict:
-    """Each output's path under out_dir (names: key -> default file name), with its parent
-    directory made; a ConfigError (exit 2) if a path names a directory."""
+    """Each output's path under out_dir (names: key -> default file name), with its parent directory
+    made; a ConfigError (exit 2) if a path names a directory or its directory cannot be made."""
     paths = {key: out_dir / cfg.outputs.get(key, name) for key, name in names.items()}
     for key, path in paths.items():
         if path.is_dir():
             raise ConfigError(f"outputs {key} names a directory: {path}")
-        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make the directory of outputs {key}: {exc}") from exc
     return paths
 
 

@@ -4,7 +4,8 @@ RunConfig.from_dict runs every check before any quadrature is built (only
 tabulated samples wait for the nodes); each failure is a ConfigError (exit
 2): a key outside the schema below, a value of the wrong type or range, a
 fixed rule under 2 x 4 nodes or, for tabulated data, short of L_start, a
-source outside the inscribed sphere, a field radius inside the surface. A
+source outside the inscribed sphere, a field radius inside the surface or
+with an infinite square (the weights of its error sphere overflow). A
 "grid" sweep has at most 10000 cells (see cli); its base must be a valid run.
 
     {
@@ -179,15 +180,16 @@ def _data_source(data: dict, spec: geometry.SurfaceSpec, base_dir: Path | None):
 
 
 def _field_radii(outputs: dict, spec: geometry.SurfaceSpec) -> list[float]:
-    """The radii of the field-error spheres: outputs.field_radii, each at
-    least the enclosing radius, or by default twice that radius."""
-    r_max = geometry.enclosing_radius(spec)
+    """The radii of the field-error spheres: outputs.field_radii, each at least
+    the enclosing radius and with a finite square, or by default twice that radius."""
+    r_max = geometry.radius_bounds(spec)[1]
     radii = outputs.get("field_radii", [2.0 * r_max])
     if not isinstance(radii, list):
         raise ConfigError(f"outputs field_radii must be a list of radii, got {radii!r}")
     radii = [require_number("outputs field_radii entry", R) for R in radii]
-    if not all(R >= r_max for R in radii):
-        raise ConfigError(f"outputs field_radii {radii} must enclose the surface (enclosing radius {r_max!r})")
+    if not all(r_max <= R and R * R < math.inf for R in radii):  # an error sphere's weights grow as R^2
+        raise ConfigError(f"outputs field_radii {radii} must enclose the surface (enclosing radius {r_max!r}) "
+                          "and have a finite square")
     return radii
 
 

@@ -136,7 +136,10 @@ def run_mrc_grid(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule, data
     The data share bc, sigma and whether they have an oracle. If geometry.max_degree of the rule is
     below L_max, the rule is refined (and the data resampled via its oracle); tabulated data instead
     caps L_max at it, a ConfigError if that is below L_start (a RunConfig checks this at load).
-    Either adjustment is recorded in the report as rule_refined."""
+    Either adjustment is recorded in the report as rule_refined. A rule built about another
+    center than spec's is a ValueError, a data vector with an infinite L2(S) norm a ConfigError."""
+    if rule.center != spec.center:
+        raise ValueError(f"the rule is built about {rule.center}, the surface about {spec.center}")
     refined = geometry.max_degree(rule.n_theta, rule.n_phi) < cfg.L_max
     if refined and data[0].oracle is not None:
         rule = geometry.auto_quadrature(spec, cfg.L_max)
@@ -145,9 +148,12 @@ def run_mrc_grid(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule, data
     if L_max < cfg.L_start:
         raise ConfigError("quadrature rule cannot resolve L_start and tabulated data cannot be resampled")
 
-    system = lsq.GrowingSystem(rule, spec.center, np.stack([d.values for d in data]), data[0].bc, data[0].sigma, L_max)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        f_norms = [float(np.sqrt(np.sum(rule.weights * d.values**2))) for d in data]
+    if not np.all(np.isfinite(f_norms)):
+        raise ConfigError(f"boundary data norms {f_norms} are not all finite")
+    system = lsq.GrowingSystem(rule, np.stack([d.values for d in data]), data[0].bc, data[0].sigma)
     r_min, r_max = geometry.radius_bounds(spec)
-    f_norms = [float(np.sqrt(np.sum(rule.weights * d.values**2))) for d in data]
     # one row per degree, [records, fit]; a fit is kept while its row is the last or some stop ends there
     table, ran_out = [], L_MAX_REACHED
 
@@ -180,10 +186,3 @@ def run_mrc_grid(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule, data
         )
 
     return [[report(i, epsilon) for epsilon in epsilons] for i in range(len(data))]
-
-
-def neumann_data_from_potential(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule,
-                                z, q: float = 1.0) -> fields.BoundaryData:
-    """Normal-derivative trace of the point source q/|x-z| on the surface."""
-    fields.interior_source_or_raise(spec, z)
-    return fields.boundary_data_from_oracle(rule, fields.PointSource(z, q), lsq.NEUMANN)

@@ -168,5 +168,5 @@ def sup_residual(rule, field: ExteriorField, data: BoundaryData) -> float:
 
 def interior_source_or_raise(spec, z) -> None:
     """Validate that z lies strictly inside the inscribed sphere of spec."""
-    if np.linalg.norm(np.asarray(z, dtype=float) - np.asarray(spec.center)) >= geometry.inscribed_radius(spec):
+    if np.linalg.norm(np.asarray(z, dtype=float) - np.asarray(spec.center)) >= geometry.radius_bounds(spec)[0]:
         raise ConfigError("source point must lie inside the inscribed sphere")

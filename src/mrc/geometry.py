@@ -155,7 +155,8 @@ class QuadratureRule:
     """Surface nodes with weights approximating the surface integral.
 
     The nodes are the grid of n_theta theta-lines and n_phi phi-lines,
-    theta-major: node i * n_phi + j has angles (theta_line[i], phi_line[j]).
+    theta-major: node i * n_phi + j has angles (theta_line[i], phi_line[j])
+    about `center`, the point the lines are measured from.
     Immutable after construction; safe to share across threads.
     """
 
@@ -166,8 +167,10 @@ class QuadratureRule:
     weights: np.ndarray  # (n,) positive surface weights
     n_theta: int
     n_phi: int
+    center: tuple[float, float, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "center", require_point("rule center", self.center))
         if not (np.array_equal(self.theta, np.repeat(self.theta_line, self.n_phi))
                 and np.array_equal(self.phi, np.tile(self.phi_line, self.n_theta))):
             raise ValueError("the nodes must be the theta-major grid of n_theta theta-lines and n_phi phi-lines")
@@ -223,16 +226,15 @@ def build_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> QuadratureR
     wq = np.repeat(wg, n_phi) * (2.0 * np.pi / n_phi)
 
     rho = spec.rho(theta, phi)
-    if not np.all((rho > 0.0) & (rho < np.inf)):
-        raise GeometryError(f"surface radius is non-positive or not finite at some nodes ({spec.kind})")
     rho_t, rho_p = spec.rho_derivatives(theta, phi)
     s, rhat, that, phat = spherical_frame(theta, phi)
 
-    center = np.asarray(spec.center, dtype=float)
-    points = center + rho[:, None] * rhat
+    points = np.asarray(spec.center) + rho[:, None] * rhat
 
     jac = rho * np.sqrt(rho**2 + rho_t**2 + (rho_p / s) ** 2)
     weights = wq * jac
+    if not np.all((weights > 0.0) & (weights < np.inf)):  # also refuses a radius that is not positive and finite
+        raise GeometryError(f"surface radius or weight is non-positive or not finite at some nodes ({spec.kind})")
 
     # grad(r - rho) in spherical components, normalized
     nvec = rhat - (rho_t / rho)[:, None] * that - (rho_p / (rho * s))[:, None] * phat
@@ -240,7 +242,7 @@ def build_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> QuadratureR
 
     return QuadratureRule(
         theta=theta, phi=phi, points=points, normals=normals,
-        weights=weights, n_theta=n_theta, n_phi=n_phi,
+        weights=weights, n_theta=n_theta, n_phi=n_phi, center=spec.center,
     )
 
 
@@ -275,13 +277,3 @@ def _scan_radius_bounds(spec: SurfaceSpec) -> tuple[float, float]:
 def radius_bounds(spec: SurfaceSpec) -> tuple[float, float]:
     """(inscribed, enclosing) radius; the grid is scanned once per spec, on first use."""
     return spec._radius_bounds
-
-
-def enclosing_radius(spec: SurfaceSpec) -> float:
-    """Max of rho over a dense grid, with a tiny safety factor."""
-    return radius_bounds(spec)[1]
-
-
-def inscribed_radius(spec: SurfaceSpec) -> float:
-    """Min of rho over a dense grid (no safety factor: shrinking is safe)."""
-    return radius_bounds(spec)[0]

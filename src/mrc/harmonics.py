@@ -10,6 +10,7 @@ to degree 64; no Condon-Shortley phase is applied.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -49,8 +50,8 @@ def degrees(ell_max: int) -> np.ndarray:
 
 
 def _legendre(ell_max: int, theta: np.ndarray):
-    """Yield (P[l, m], P[l-1, m]) for the degrees l = 0..ell_max in turn, for
-    m = 0..l (so P[l-1, l] = 0), each of shape theta.shape + (l+1,).
+    """Yield (l, P[l, m], P[l-1, m]) for the degrees l = 0..ell_max in turn, for
+    m = 0..l (so P[l-1, l] = 0), each P of shape theta.shape + (l+1,).
 
     The fully normalized recurrence
 
@@ -77,7 +78,7 @@ def _legendre(ell_max: int, theta: np.ndarray):
         p[..., :ell] = a * x * p1 + b * p2
         p[..., ell] = math.sqrt(amm / (4.0 * math.pi)) * s**ell
         p1, p2 = p, np.concatenate([p1, np.zeros(theta.shape + (1,))], axis=-1)
-        yield p, p2
+        yield ell, p, p2
 
 
 def _azimuthal(ell_max: int, phi: np.ndarray) -> np.ndarray:
@@ -96,7 +97,7 @@ def _azimuthal(ell_max: int, phi: np.ndarray) -> np.ndarray:
 
 
 def _legendre_blocks(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivatives: bool = False):
-    """Yield (Y, dY/dtheta, dY/dphi) for the degrees l = 0..ell_max in turn.
+    """An iterator of (Y, dY/dtheta, dY/dphi) for the degrees l = 0..ell_max in turn.
 
     theta and phi broadcast: equal-length arrays give scattered points, a
     column of theta-lines against a row of phi-lines their theta-major grid.
@@ -110,14 +111,13 @@ def _legendre_blocks(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivativ
         raise ValueError("angular derivatives are singular at the poles")
     x = np.cos(theta)[..., None]
     az = _azimuthal(ell_max, phi)
-    for ell, (p, p_prev) in enumerate(_legendre(ell_max, theta)):
+    def block(ell: int, p: np.ndarray, p_prev: np.ndarray) -> tuple:
         m = np.arange(-ell, ell + 1)
         pm = p[..., np.abs(m)]  # P[l, |m|] in flat order
         azl = az[..., ell_max - ell : ell_max + ell + 1]
         Y = (pm * azl).reshape(-1, 2 * ell + 1)
         if not derivatives:
-            yield Y, None, None
-            continue
+            return Y, None, None
         # dP/dtheta = (l*x*P[l,m] - c[l,m]*P[l-1,m]) / sin(theta)
         c = np.sqrt((2 * ell + 1) / (2 * ell - 1) * (ell * ell - m[ell:] ** 2)) if ell > 0 else np.zeros(1)
         dp = (ell * x * p - c * p_prev) / s[..., None]
@@ -126,7 +126,8 @@ def _legendre_blocks(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivativ
         # takes -m times the factor of order -m; order 0 does not depend on phi
         dYdp = (-m * pm * azl[..., ::-1]).reshape(-1, 2 * ell + 1)
         dYdp[:, ell] = 0.0
-        yield Y, dYdt, dYdp
+        return Y, dYdt, dYdp
+    return itertools.starmap(block, _legendre(ell_max, theta))  # unlike a generator, starmap holds no drawn block
 
 
 def ylm(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivatives: bool = False) -> tuple[np.ndarray, ...]:
@@ -204,23 +205,21 @@ def eval_grad_h(ell_max: int, x, center=(0.0, 0.0, 0.0)) -> np.ndarray:
     return grad[0] if single else grad
 
 
-def node_blocks(ell_max: int, rule, center, gradients: bool = False):
-    """Yield (h, n . grad h) at the rule's nodes, one (n_nodes, 2l+1) block
+def node_blocks(ell_max: int, rule, gradients: bool = False):
+    """An iterator of (h, n . grad h) at the rule's nodes, one (n_nodes, 2l+1) block
     per degree l = 0..ell_max; the second entry is None without gradients.
 
-    The angles are the rule's own: the recurrence runs on its theta-lines and
-    the azimuthal factors on its phi-lines, and each node's block is bit-equal
-    to that of its angles given point by point. A caller that needs the degrees
-    one batch at a time keeps the generator and draws further blocks from it.
+    The center and angles are the rule's own: r is measured from rule.center, the recurrence
+    runs on its theta-lines and the azimuthal factors on its phi-lines, and each node's block
+    is bit-equal to that of its angles given point by point. A caller that needs the degrees
+    one batch at a time keeps the iterator; each block is built when drawn, and held by the caller only.
     """
-    r = np.linalg.norm(rule.points - np.asarray(center, dtype=float), axis=1)
+    r = np.linalg.norm(rule.points - np.asarray(rule.center), axis=1)
     frame = spherical_frame(rule.theta, rule.phi) if gradients else None
-    for ell, blocks in enumerate(_legendre_blocks(ell_max, rule.theta_line[:, None], rule.phi_line, gradients)):
-        values = blocks[0] / r[:, None] ** (ell + 1)
-        if not gradients:
-            yield values, None
-            continue
-        yield values, np.einsum("ij,ikj->ik", rule.normals, _gradient_block(ell, blocks, r, frame))
+    def block(ell: int, blocks: tuple) -> tuple:
+        dn = np.einsum("ij,ikj->ik", rule.normals, _gradient_block(ell, blocks, r, frame)) if gradients else None
+        return blocks[0] / r[:, None] ** (ell + 1), dn
+    return map(block, range(ell_max + 1), _legendre_blocks(ell_max, rule.theta_line[:, None], rule.phi_line, gradients))
 
 
 def sphere_grid_values(coefficients: list[np.ndarray], radius: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -233,7 +232,8 @@ def sphere_grid_values(coefficients: list[np.ndarray], radius: float, theta: np.
     padded = np.stack([np.pad(c, (0, n_terms(ell_max) - c.shape[0])) for c in coefficients])
     az = _azimuthal(ell_max, phi)
     sums = np.zeros((len(coefficients), theta.shape[0], 2 * ell_max + 1))  # field, theta-line, ell_max + m
-    for ell, (p, _) in enumerate(_legendre(ell_max, theta)):
-        c = padded[:, None, ell * ell : (ell + 1) ** 2] / radius ** (ell + 1)
+    for ell, p, _ in _legendre(ell_max, theta):
+        with np.errstate(over="ignore"):  # a far sphere's radius ** (l+1) is inf, and its terms 0
+            c = padded[:, None, ell * ell : (ell + 1) ** 2] / np.float64(radius) ** (ell + 1)
         sums[:, :, ell_max - ell : ell_max + ell + 1] += c * p[:, np.abs(np.arange(-ell, ell + 1))]
     return (sums @ az.T).reshape(len(coefficients), -1)

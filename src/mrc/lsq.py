@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .harmonics import node_blocks
+from .harmonics import ELL_MAX, node_blocks
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -65,27 +65,29 @@ class GrowingSystem:
     """The weighted system for the given boundary-condition kind and
     degrees 0..L, grown as L rises; each row of `values` is a right-hand side.
 
-    Columns: the bc_trace of each h_k at the nodes x_i; all rows carry
-    sqrt(w_i). Each `extend` tabulates only the degrees not seen yet and
-    appends their columns, so a loop over nested degrees builds every
-    column once.
+    Columns: the bc_trace of each h_k about the rule's center at the nodes
+    x_i; all rows carry sqrt(w_i). Each `extend` draws from node_blocks
+    (up to ELL_MAX) only the degrees not seen yet and appends their
+    columns, so a loop over nested degrees builds every column once.
     """
 
-    def __init__(self, rule, center, values: np.ndarray, bc: str, sigma: float, ell_max: int):
+    def __init__(self, rule, values: np.ndarray, bc: str, sigma: float):
         if bc == ROBIN and sigma < 0:
             raise ValueError("Robin coefficient must be >= 0")
         values = np.asarray(values, dtype=float)
         if values.shape[-1] != rule.n_nodes:
             raise ValueError("boundary data length does not match the quadrature rule")
         self._bc, self._sigma = bc, sigma
-        self._blocks = node_blocks(ell_max, rule, center, gradients=bc != DIRICHLET)
+        self._blocks = node_blocks(ELL_MAX, rule, gradients=bc != DIRICHLET)
         self._sqrt_w = np.sqrt(rule.weights)
         self._rhs = values * self._sqrt_w
         self._matrix = np.empty((rule.n_nodes, 0))
         self._ell_max = -1
 
     def extend(self, ell_max: int) -> LsqProblem:
-        """The system for degrees 0..ell_max; ell_max must not go down."""
+        """The system for degrees 0..ell_max; ValueError below the current degree or above ELL_MAX."""
+        if not self._ell_max <= ell_max <= ELL_MAX:
+            raise ValueError(f"degree {ell_max} is outside [{self._ell_max}, {ELL_MAX}]")
         new = [bc_trace(self._bc, self._sigma, v, dn) * self._sqrt_w[:, None]
                for v, dn in itertools.islice(self._blocks, ell_max - self._ell_max)]
         self._matrix = np.concatenate([self._matrix, *new], axis=1)

@@ -209,7 +209,7 @@ def test_criterion_7_harmonicity_and_decay(matrix_runs):
     data = F.boundary_data_from_oracle(rule, F.PointSource([5e-4, 0.0, 3e-4]))
     rep = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-10, L_start=0))
     xhat = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    t = 1e3 * G.enclosing_radius(spec)
+    t = 1e3 * G.radius_bounds(spec)[1]
     gap = abs(t * rep.field(t * xhat) - rep.coefficients[0] / np.sqrt(4 * np.pi))
     report_line(
         "criterion 7 (harmonicity + far-field decay)",

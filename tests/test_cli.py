@@ -550,3 +550,60 @@ def test_sweep_csv_in_a_subdirectory(tmp_path):
     assert cli.main(["sweep", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == 0
     rows = read_csv(tmp_path / "out" / "tables" / "sweep.csv")
     assert [row["termination"] for row in rows] == ["converged", "converged"]
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("report", ["report.json", "sub/report.json"])
+def test_out_naming_a_file_is_config_error(tmp_path, monkeypatch, command, report):
+    # making the output directories under a file raised FileExistsError (or NotADirectoryError): exit 1
+    monkeypatch.setattr(cli.driver, "run_mrc_grid", _no_solve)
+    (tmp_path / "afile").write_text("kept\n")
+    doc = base_config(outputs={"report": report, "sweep_csv": f"{report}.csv"})
+    doc["grid"] = {"mrc.epsilon": [1e-3, 1e-6]}
+    assert cli.main([command, str(write_config(tmp_path, doc)), "--out", str(tmp_path / "afile")]) == cli.EXIT_CONFIG
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+def test_far_field_radius_gives_finite_errors(tmp_path):
+    # sphere_grid_values raised OverflowError on radius ** (l+1) after the solve: a traceback, exit 1
+    doc = base_config(data=dict(_POINT), mrc={"epsilon": 1e-6, "L_max": 20}, outputs={"field_radii": [2.0, 1e150]})
+    assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]) == cli.EXIT_OK
+    rows = read_csv(tmp_path / "field_errors.csv")
+    assert [float(row["R"]) for row in rows] == [2.0, 1e150]
+    assert all(np.isfinite(float(row[key])) for row in rows for key in ("l2_error", "sup_error"))
+
+
+def test_field_radius_with_an_infinite_square_is_refused_at_load(tmp_path, monkeypatch):
+    # its 64 x 128 error-sphere rule has weights of order R^2, which overflow
+    monkeypatch.setattr(G, "build_quadrature", _no_solve)
+    doc = base_config(data=dict(_POINT), outputs={"field_radii": [2.0, 1e155]})
+    assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edits", [
+    {"data": dict(_POINT, q=1e308)},
+    {"data": dict(_POINT), "bc": {"kind": "robin", "sigma": 1e308}},
+    {"data": {"type": "band_limited", "coefficients": [[1, 0, 1e308]]}, "bc": {"kind": "neumann"}},
+], ids=["q", "robin-sigma", "band-limited-neumann"])
+def test_data_with_an_infinite_norm_is_config_error(tmp_path, edits):
+    # every sample is finite but the discrete L2(S) norm is not: the run exited 5 with f_norm
+    # Infinity and every history residual NaN
+    doc = base_config(**edits)
+    assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("surface, code", [
+    # the default field radius, 2 x 1e300, has an infinite square: refused at load
+    ({"preset": "sphere", "params": {"a": 1e300}}, cli.EXIT_CONFIG),
+    ({"preset": "spheroid", "params": {"a": 1.0, "e": 1e300}}, cli.EXIT_CONFIG),
+    # a finite radius whose weights overflow through d rho / d phi: refused when the rule is built
+    ({"preset": "cosine_bump", "params": {"a": 1.0, "delta": 0.2, "p": 10**200}}, cli.EXIT_GEOMETRY),
+], ids=["sphere-a-1e300", "spheroid-e-1e300", "cosine_bump-p-1e200"])
+def test_surface_with_overflowing_weights_exits_before_a_solve(tmp_path, monkeypatch, surface, code):
+    # each exited 4: "adaptive loop terminated before completing a single solve"
+    monkeypatch.setattr(cli.driver, "run_mrc_grid", _no_solve)
+    doc = base_config(surface=surface, data=dict(_POINT, z=[0.1, 0.0, 0.0]))
+    with np.errstate(over="ignore"):
+        assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]) == code

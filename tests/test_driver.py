@@ -50,7 +50,7 @@ def test_point_source_on_bump_converges():
     report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=eps))
     assert report.termination == D.CONVERGED
     assert report.chosen_L <= 25
-    err = F.error_on_enclosing_sphere(report.field, oracle, 2.0 * G.enclosing_radius(spec))
+    err = F.error_on_enclosing_sphere(report.field, oracle, 2.0 * G.radius_bounds(spec)[1])
     assert err.l2 <= 10 * eps
 
 
@@ -120,12 +120,14 @@ def test_tabulated_data_clamps_L_max():
 def test_neumann_data_from_potential_centered():
     spec1 = G.SurfaceSpec.sphere(1.0)
     rule1 = G.build_quadrature(spec1, 16, 32)
-    data = D.neumann_data_from_potential(spec1, rule1, [0.0, 0.0, 0.0])
+    F.interior_source_or_raise(spec1, [0.0, 0.0, 0.0])
+    data = F.boundary_data_from_oracle(rule1, F.PointSource([0.0, 0.0, 0.0]), lsq.NEUMANN)
     assert np.allclose(data.values, -1.0, atol=1e-14)
 
     spec2 = G.SurfaceSpec.sphere(2.0)
     rule2 = G.build_quadrature(spec2, 16, 32)
-    data2 = D.neumann_data_from_potential(spec2, rule2, [0.0, 0.0, 0.0])
+    F.interior_source_or_raise(spec2, [0.0, 0.0, 0.0])
+    data2 = F.boundary_data_from_oracle(rule2, F.PointSource([0.0, 0.0, 0.0]), lsq.NEUMANN)
     assert np.allclose(data2.values, -0.25, atol=1e-14)
 
 
@@ -133,7 +135,8 @@ def test_neumann_data_matches_finite_differences():
     spec = G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3)
     rule = G.build_quadrature(spec, 20, 40)
     z = np.array([0.3, 0.0, 0.0])
-    data = D.neumann_data_from_potential(spec, rule, z)
+    F.interior_source_or_raise(spec, z)
+    data = F.boundary_data_from_oracle(rule, F.PointSource(z), lsq.NEUMANN)
     eps = 1e-6
 
     def pot(x):
@@ -145,9 +148,8 @@ def test_neumann_data_matches_finite_differences():
 
 def test_neumann_source_outside_rejected():
     spec = G.SurfaceSpec.sphere(1.0)
-    rule = G.build_quadrature(spec, 16, 32)
     with pytest.raises(ConfigError):
-        D.neumann_data_from_potential(spec, rule, [1.1, 0.0, 0.0])
+        F.interior_source_or_raise(spec, [1.1, 0.0, 0.0])
 
 
 def test_config_validation():
@@ -215,7 +217,7 @@ def test_growing_system_matches_rebuild(bc, sigma, steps):
     report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-14, L_max=12, **steps))
     assert [h.L for h in report.history][:2] == [steps.get("L_start", 2), steps.get("L_start", 2) + steps.get("L_step", 1)]
     for h in report.history:
-        sol = lsq.solve(lsq.GrowingSystem(rule, spec.center, data.values, bc, sigma, h.L).extend(h.L))
+        sol = lsq.solve(lsq.GrowingSystem(rule, data.values, bc, sigma).extend(h.L))
         assert (h.residual_l2, h.rank, h.cond_estimate) == (sol.residual_l2, sol.rank, sol.cond_estimate)
         field = F.ExteriorField(spec.center, sol.coefficients, report.field.r_min, report.field.r_max)
         assert h.sup_residual == pytest.approx(F.sup_residual(rule, field, data), rel=1e-8)
@@ -291,3 +293,19 @@ def test_solver_error_part_way_reads_stagnated(monkeypatch):
     ]
     # a history cut short reports the fit of its last row, L=6
     assert [r.coefficients.shape for r in grid[1]] == [(H.n_terms(4),), (H.n_terms(6),)]
+
+
+def test_rule_about_another_center_is_refused():
+    # the system took each node's angles from the rule but r from spec.center: with a rule built about
+    # the origin, this run read converged at L = 8 with a residual of 2.0e-9 and an exterior error of 2.4e-2
+    spec = G.SurfaceSpec.sphere(1.0, center=(0.2, 0.0, 0.0))
+    oracle = F.PointSource([0.25, 0.0, 0.0])
+    cfg = D.MrcConfig(epsilon=1e-8)
+    wrong = G.build_quadrature(G.SurfaceSpec.sphere(1.0), 42, 82)  # resolves L_max: no refinement
+    with pytest.raises(ValueError, match="built about"):
+        D.run_mrc(spec, wrong, F.boundary_data_from_oracle(wrong, oracle), cfg)
+    rule = G.build_quadrature(spec, 42, 82)
+    assert rule.center == spec.center
+    report = D.run_mrc(spec, rule, F.boundary_data_from_oracle(rule, oracle), cfg)
+    assert report.termination == D.CONVERGED
+    assert F.error_on_enclosing_sphere(report.field, oracle, 3.0).l2 <= 1e-11

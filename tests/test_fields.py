@@ -186,7 +186,7 @@ def test_near_centered_fit_stabilizes_by_t_1000():
     report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-10, L_start=0))
     xhat = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
     limit = report.coefficients[0] / SQRT_4PI
-    t = 1e3 * G.enclosing_radius(spec)
+    t = 1e3 * G.radius_bounds(spec)[1]
     assert abs(t * report.field(t * xhat) - limit) <= 1e-6
 
 
@@ -199,7 +199,7 @@ def test_max_principle_consistency():
         data = F.boundary_data_from_oracle(rule, oracle)
         report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-7))
         boundary_sup = F.sup_residual(rule, report.field, data)
-        err = F.error_on_enclosing_sphere(report.field, oracle, 2 * G.enclosing_radius(spec))
+        err = F.error_on_enclosing_sphere(report.field, oracle, 2 * G.radius_bounds(spec)[1])
         assert err.sup <= 2.0 * boundary_sup
 
 
@@ -215,3 +215,13 @@ def test_unknown_bc_kind_rejected():
         F.boundary_data_from_oracle(rule, F.PointSource([0.1, 0.0, 0.0]), "neuman")
     with pytest.raises(ValueError, match="unknown boundary condition"):
         F.BoundaryData(bc="neuman", values=np.zeros(rule.n_nodes))
+
+
+def test_far_error_sphere_is_finite():
+    # radius ** (l+1) was a Python float power: an OverflowError once R^(l+1) passed 1.8e308
+    oracle = F.PointSource([0.3, 0.0, 0.0])
+    field = F.ExteriorField((0.0, 0.0, 0.0), F.multipole_coefficients([0.3, 0.0, 0.0], 1.0, 40), 1.0, 1.0)
+    for R in (1e10, 1e150):
+        err = F.error_on_enclosing_sphere(field, oracle, R)
+        assert np.isfinite(err.l2) and np.isfinite(err.sup)
+        assert err.sup <= 1e-12 / R

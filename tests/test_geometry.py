@@ -75,20 +75,20 @@ def test_normals_orthogonal_to_fd_tangents(spec):
 
 
 def test_enclosing_radius_presets():
-    assert G.enclosing_radius(G.SurfaceSpec.sphere(1.0)) == pytest.approx(1.0, rel=1e-8)
-    assert G.enclosing_radius(G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3)) == pytest.approx(1.2, rel=1e-6)
-    assert G.enclosing_radius(G.SurfaceSpec.spheroid(1.0, 0.5)) == pytest.approx(1.5, rel=1e-8)
+    assert G.radius_bounds(G.SurfaceSpec.sphere(1.0))[1] == pytest.approx(1.0, rel=1e-8)
+    assert G.radius_bounds(G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3))[1] == pytest.approx(1.2, rel=1e-6)
+    assert G.radius_bounds(G.SurfaceSpec.spheroid(1.0, 0.5))[1] == pytest.approx(1.5, rel=1e-8)
 
 
 def test_inscribed_radius_presets():
-    assert G.inscribed_radius(G.SurfaceSpec.spheroid(1.0, 0.5)) == pytest.approx(1.0, rel=1e-8)
-    assert G.inscribed_radius(G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3)) == pytest.approx(0.8, rel=1e-6)
+    assert G.radius_bounds(G.SurfaceSpec.spheroid(1.0, 0.5))[0] == pytest.approx(1.0, rel=1e-8)
+    assert G.radius_bounds(G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3))[0] == pytest.approx(0.8, rel=1e-6)
 
 
 def test_all_nodes_inside_enclosing_radius():
     spec = G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3)
     rule = G.build_quadrature(spec, 48, 96)
-    R = G.enclosing_radius(spec)
+    R = G.radius_bounds(spec)[1]
     assert np.all(np.linalg.norm(rule.points, axis=1) <= R)
 
 
@@ -151,8 +151,6 @@ def test_nan_radius_between_nodes_rejected():
     G.build_quadrature(spec, 12, 24)
     with pytest.raises(GeometryError):
         G.radius_bounds(spec)
-    with pytest.raises(GeometryError):
-        G.inscribed_radius(spec)
 
 
 def test_radius_scan_matches_full_grid():
@@ -177,3 +175,20 @@ def test_rule_that_is_not_the_theta_phi_grid_is_refused():
     ):
         with pytest.raises(ValueError, match="theta-major grid"):
             dataclasses.replace(rule, **changes)
+
+
+@pytest.mark.parametrize("spec", [G.SurfaceSpec.sphere(1e300), G.SurfaceSpec.spheroid(1.0, 1e300)],
+                         ids=["sphere-a-1e300", "spheroid-e-1e300"])
+def test_overflowing_weights_are_geometry_error(spec):
+    # the radius is finite, but the weight rho * sqrt(rho^2 + ...) overflows: the loop then
+    # failed its first solve and exited 4 with "adaptive loop terminated before completing a single solve"
+    with np.errstate(over="ignore"), pytest.raises(GeometryError, match="weight"):
+        G.build_quadrature(spec, 12, 24)
+
+
+def test_rule_center_is_a_checked_point():
+    rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0, (0.5, 0.0, 0.0)), 6, 10)
+    assert rule.center == (0.5, 0.0, 0.0)
+    assert dataclasses.replace(rule, center=np.array([0.5, 0, 0])).center == (0.5, 0.0, 0.0)
+    with pytest.raises(ConfigError):
+        dataclasses.replace(rule, center=(0.5, 0.0))

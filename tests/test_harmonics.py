@@ -184,9 +184,9 @@ def test_grid_blocks_equal_scattered_blocks(gradients):
     for a, b in zip(grid, scattered):
         assert all(x is y is None or np.array_equal(x, y) for x, y in zip(a, b))
     # node_blocks against the same quantities formed from the scattered blocks
-    r = np.linalg.norm(rule.points - np.asarray(spec.center), axis=1)
+    r = np.linalg.norm(rule.points - np.asarray(rule.center), axis=1)
     frame = G.spherical_frame(rule.theta, rule.phi)
-    nodes = list(H.node_blocks(L, rule, spec.center, gradients))
+    nodes = list(H.node_blocks(L, rule, gradients))
     assert len(nodes) == L + 1
     for ell, ((h, dn), blocks) in enumerate(zip(nodes, scattered)):
         assert np.array_equal(h, blocks[0] / r[:, None] ** (ell + 1))

@@ -17,13 +17,13 @@ def sphere_rule():
 
 
 def system(rule, L, values, bc=lsq.DIRICHLET, sigma=0.0):
-    """The weighted system for degrees 0..L about the origin, built in one step."""
-    return lsq.GrowingSystem(rule, (0, 0, 0), values, bc, sigma, L).extend(L)
+    """The weighted system for degrees 0..L about the rule's center, built in one step."""
+    return lsq.GrowingSystem(rule, values, bc, sigma).extend(L)
 
 
 def basis_values(rule, L):
     """The unweighted h_k at the nodes, degrees 0..L."""
-    return np.concatenate([h for h, _ in H.node_blocks(L, rule, (0, 0, 0))], axis=1)
+    return np.concatenate([h for h, _ in H.node_blocks(L, rule)], axis=1)
 
 
 def test_dirichlet_columns_orthonormal(sphere_rule):
@@ -52,7 +52,7 @@ def test_robin_sigma_zero_equals_neumann(sphere_rule):
 
 def test_node_count_mismatch(sphere_rule):
     with pytest.raises(ValueError):
-        lsq.GrowingSystem(sphere_rule, (0, 0, 0), np.zeros(7), lsq.DIRICHLET, 0.0, 2)
+        lsq.GrowingSystem(sphere_rule, np.zeros(7), lsq.DIRICHLET, 0.0)
 
 
 def test_projection_onto_orthonormal_column(sphere_rule):
@@ -162,7 +162,7 @@ def test_lapack_failure_is_solver_error(sphere_rule):
 
 def test_unknown_bc_kind_rejected(sphere_rule):
     with pytest.raises(ValueError, match="unknown boundary condition"):
-        lsq.GrowingSystem(sphere_rule, (0, 0, 0), np.zeros(sphere_rule.n_nodes), "neuman", 0.0, 2).extend(2)
+        lsq.GrowingSystem(sphere_rule, np.zeros(sphere_rule.n_nodes), "neuman", 0.0).extend(2)
 
 
 def svd_reference(problem, svd_rtol=lsq.SVD_RTOL):
@@ -188,7 +188,7 @@ def test_qr_route_matches_svd_of_the_whole_matrix(name):
     spec, bc, sigma, L = TALL_SYSTEMS[name]
     rule = G.build_quadrature(spec, 24, 48)
     data = F.boundary_data_from_oracle(rule, F.PointSource([0.3, 0.0, 0.0]), bc, sigma)
-    problem = lsq.GrowingSystem(rule, spec.center, data.values, bc, sigma, L).extend(L)
+    problem = lsq.GrowingSystem(rule, data.values, bc, sigma).extend(L)
     assert problem.matrix.shape[0] > problem.matrix.shape[1]
     sol = lsq.solve(problem)
     c, rank, cond, residual = svd_reference(problem)
@@ -247,3 +247,15 @@ def test_nan_entry_is_solver_error_on_both_routes(shape):
     problem = lsq.LsqProblem(matrix=A, rhs=np.ones(shape[0]), sqrt_w=np.ones(shape[0]))
     with pytest.raises(SolverError, match="SVD failed"):
         lsq.solve(problem)
+
+
+def test_extend_refuses_a_degree_below_the_current_one_or_above_ELL_MAX(sphere_rule):
+    # the system draws its degree blocks up to ELL_MAX: no top degree to pass, or to pass too low
+    grown = lsq.GrowingSystem(sphere_rule, np.zeros(sphere_rule.n_nodes), lsq.NEUMANN, 0.0)
+    assert grown.extend(3).matrix.shape[1] == 16
+    assert grown.extend(6).matrix.shape[1] == 49
+    for L in (5, H.ELL_MAX + 1):
+        with pytest.raises(ValueError, match="outside"):
+            grown.extend(L)
+    problem = grown.extend(6)  # the same degree again is the same system
+    assert np.array_equal(problem.matrix, system(sphere_rule, 6, np.zeros(sphere_rule.n_nodes), lsq.NEUMANN).matrix)
