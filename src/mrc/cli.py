@@ -2,7 +2,8 @@
 
 One runner, run_cells, serves both commands: a solve is a one-cell group,
 so a sweep row equals the cell's solve by construction. Output paths are
-resolved under --out, and their directories made, before any solve.
+resolved and checked under --out before any solve; their directories are
+made only before the first write, so a run that fails makes none.
 
 Outputs are machine-readable: a JSON solve report, a CSV convergence
 history, and (when an exact oracle is configured) a CSV of field errors on
@@ -76,17 +77,22 @@ def run_cells(cells: list[RunConfig]) -> list:
 
 
 def output_paths(cfg: RunConfig, out_dir: Path, names: dict) -> dict:
-    """Each output's path under out_dir (names: key -> default file name), with its parent directory
-    made; a ConfigError (exit 2) if a path names a directory or its directory cannot be made."""
+    """Each output's path under out_dir (names: key -> default file name); a ConfigError (exit 2) if a
+    path names a directory or lies under a file. Nothing is made here: see make_directories."""
     paths = {key: out_dir / cfg.outputs.get(key, name) for key, name in names.items()}
     for key, path in paths.items():
-        if path.is_dir():
-            raise ConfigError(f"outputs {key} names a directory: {path}")
+        if path.is_dir() or not next(p for p in path.parents if p.exists()).is_dir():
+            raise ConfigError(f"outputs {key} names a directory or lies under a file: {path}")
+    return paths
+
+
+def make_directories(paths: dict) -> None:
+    """Make the parent directory of each output path, before the first write; a ConfigError if one cannot be made."""
+    for key, path in paths.items():
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make the directory of outputs {key}: {exc}") from exc
-    return paths
 
 
 def write_reports(cfg: RunConfig, report, errors, paths: dict, verbose: bool) -> None:
@@ -118,6 +124,7 @@ def cmd_solve(args) -> int:
     if isinstance(outcome, Exception):
         raise outcome
     report, errors = outcome
+    make_directories(paths)
     write_reports(cfg, report, errors, paths, args.verbose)
     return EXIT_OK if report.termination == driver.CONVERGED else EXIT_NONCONVERGED
 
@@ -169,6 +176,7 @@ def cmd_sweep(args) -> int:
     for members in groups.values():
         for i, outcome in zip(members, run_cells([outcomes[i] for i in members])):
             outcomes[i] = outcome
+    make_directories(paths)
     _write_csv(paths["sweep_csv"], columns, [[*values, *_sweep_fields(out)] for values, out in zip(grid, outcomes)])
     return EXIT_OK
 

@@ -153,12 +153,15 @@ def errors_on_enclosing_sphere(fields: list[ExteriorField], oracles: list, R: fl
     """The error of each field against its oracle on |x-c| = R. The fields share center and radii;
     their values on the sphere rule's grid come from one synthesis (harmonics.sphere_grid_values)."""
     center, r_max = fields[0].center, fields[0].r_max
-    if R < r_max:
-        raise ValueError(f"sphere radius {R} does not enclose the surface (r_max={r_max})")
-    rule = geometry.build_quadrature(geometry.SurfaceSpec.sphere(R, center), *ERROR_SPHERE_RULE)
-    values = harmonics.sphere_grid_values([f.coefficients for f in fields], R, rule.theta_line, rule.phi_line)
-    diffs = (v - np.asarray(oracle(rule.points), dtype=float) for v, oracle in zip(values, oracles))
-    return [SphereError(l2=float(np.sqrt(np.sum(rule.weights * d**2))), sup=float(np.max(np.abs(d)))) for d in diffs]
+    if not (r_max <= R and R * R < math.inf):  # the weights grow as R^2
+        raise ValueError(f"sphere radius {R} does not enclose the surface (r_max={r_max}) or has an infinite square")
+    n_theta, n_phi = ERROR_SPHERE_RULE
+    theta, phi, weights = geometry.sphere_grid(n_theta, n_phi)
+    points = np.asarray(center) + R * geometry.spherical_frame(theta, phi)[1]
+    values = harmonics.sphere_grid_values([f.coefficients for f in fields], R, theta[::n_phi], phi[:n_phi])
+    diffs = (v - np.asarray(oracle(points), dtype=float) for v, oracle in zip(values, oracles))
+    weights = weights * (R * R)  # the sphere's Jacobian R * sqrt(R^2), which equals R^2 in binary floating point
+    return [SphereError(l2=float(np.sqrt(np.sum(weights * d**2))), sup=float(np.max(np.abs(d)))) for d in diffs]
 
 
 def sup_residual(rule, field: ExteriorField, data: BoundaryData) -> float:

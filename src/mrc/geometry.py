@@ -211,28 +211,29 @@ def max_degree(n_theta: int, n_phi: int) -> int:
     return min(n_theta - 1, (n_phi - 1) // 2)
 
 
-def build_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> QuadratureRule:
-    """Gauss-Legendre (cos theta) x trapezoid (phi) rule on the surface."""
+def sphere_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta, phi, weights) of the Gauss-Legendre (cos theta) x trapezoid (phi) rule on the
+    unit sphere, theta-major: n_theta theta-lines of n_phi nodes each."""
     max_degree(n_theta, n_phi)  # the size check
-
     xg, wg = np.polynomial.legendre.leggauss(n_theta)
     theta_1d = np.arccos(xg)  # decreasing in x -> increasing theta ordering below
     order = np.argsort(theta_1d)
     theta_1d, wg = theta_1d[order], wg[order]
     phi_1d = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    return np.repeat(theta_1d, n_phi), np.tile(phi_1d, n_theta), np.repeat(wg, n_phi) * (2.0 * np.pi / n_phi)
 
-    theta = np.repeat(theta_1d, n_phi)
-    phi = np.tile(phi_1d, n_theta)
-    wq = np.repeat(wg, n_phi) * (2.0 * np.pi / n_phi)
 
+def build_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> QuadratureRule:
+    """The sphere_grid rule carried onto the surface: its weights times the Jacobian."""
+    theta, phi, wq = sphere_grid(n_theta, n_phi)
     rho = spec.rho(theta, phi)
     rho_t, rho_p = spec.rho_derivatives(theta, phi)
     s, rhat, that, phat = spherical_frame(theta, phi)
 
     points = np.asarray(spec.center) + rho[:, None] * rhat
 
-    jac = rho * np.sqrt(rho**2 + rho_t**2 + (rho_p / s) ** 2)
-    weights = wq * jac
+    with np.errstate(over="ignore"):  # an overflowing Jacobian is refused below
+        weights = wq * (rho * np.sqrt(rho**2 + rho_t**2 + (rho_p / s) ** 2))
     if not np.all((weights > 0.0) & (weights < np.inf)):  # also refuses a radius that is not positive and finite
         raise GeometryError(f"surface radius or weight is non-positive or not finite at some nodes ({spec.kind})")
 

@@ -144,23 +144,20 @@ def ylm(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivatives: bool = Fa
     return tuple(np.concatenate([b[i] for b in blocks], axis=1) for i in range(3 if derivatives else 1))
 
 
-def _gradient_block(ell: int, blocks: tuple, r: np.ndarray, frame: tuple) -> np.ndarray:
-    """Cartesian gradients (n, 2l+1, 3) of the degree-l exterior harmonics.
+def _gradient_block(ell: int, blocks: tuple, r: np.ndarray, frame: tuple) -> tuple[np.ndarray, ...]:
+    """The x, y and z components, each (n, 2l+1), of the Cartesian gradients of the degree-l exterior harmonics.
 
     Spherical components about the center: radial -(l+1)*Y/r^(l+2), polar
     (dY/dtheta)/r^(l+2), azimuthal (dY/dphi)/(sin(theta)*r^(l+2)).
     """
     Y, dYdt, dYdp = blocks
     s, rhat, that, phat = frame
-    rpow = r[:, None] ** (ell + 2)
+    with np.errstate(over="ignore"):  # far out r^(l+2) is inf, and the gradient 0
+        rpow = r[:, None] ** (ell + 2)
     rad = -(ell + 1) * Y / rpow
     pol = dYdt / rpow
     azi = dYdp / (s[:, None] * rpow)
-    return (
-        rad[:, :, None] * rhat[:, None, :]
-        + pol[:, :, None] * that[:, None, :]
-        + azi[:, :, None] * phat[:, None, :]
-    )
+    return tuple(rad * rhat[:, j, None] + pol * that[:, j, None] + azi * phat[:, j, None] for j in range(3))
 
 
 def _angles_of(x, center=(0.0, 0.0, 0.0)) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
@@ -189,7 +186,8 @@ def eval_h(ell_max: int, x, center=(0.0, 0.0, 0.0)) -> np.ndarray:
     single, r, theta, phi = _angles_of(x, center)
     h = np.empty((r.shape[0], n_terms(ell_max)))
     for ell, (Y, _, _) in enumerate(_legendre_blocks(ell_max, theta, phi)):
-        np.divide(Y, r[:, None] ** (ell + 1), out=h[:, ell * ell : (ell + 1) ** 2])
+        with np.errstate(over="ignore"):  # far out r^(l+1) is inf, and h 0
+            np.divide(Y, r[:, None] ** (ell + 1), out=h[:, ell * ell : (ell + 1) ** 2])
     return h[0] if single else h
 
 
@@ -198,7 +196,7 @@ def eval_grad_h(ell_max: int, x, center=(0.0, 0.0, 0.0)) -> np.ndarray:
     single, r, theta, phi = _angles_of(x, center)
     frame = spherical_frame(theta, phi)
     grad = np.concatenate(
-        [_gradient_block(ell, blocks, r, frame)
+        [np.stack(_gradient_block(ell, blocks, r, frame), axis=-1)
          for ell, blocks in enumerate(_legendre_blocks(ell_max, theta, phi, derivatives=True))],
         axis=1,
     )
@@ -216,9 +214,13 @@ def node_blocks(ell_max: int, rule, gradients: bool = False):
     """
     r = np.linalg.norm(rule.points - np.asarray(rule.center), axis=1)
     frame = spherical_frame(rule.theta, rule.phi) if gradients else None
+    nx, ny, nz = rule.normals.T[:, :, None]
     def block(ell: int, blocks: tuple) -> tuple:
-        dn = np.einsum("ij,ikj->ik", rule.normals, _gradient_block(ell, blocks, r, frame)) if gradients else None
-        return blocks[0] / r[:, None] ** (ell + 1), dn
+        h = blocks[0] / r[:, None] ** (ell + 1)
+        if not gradients:
+            return h, None
+        gx, gy, gz = _gradient_block(ell, blocks, r, frame)
+        return h, (nx * gx + nz * gz) + ny * gy  # einsum's order: bit-equal to einsum over the stacked gradient
     return map(block, range(ell_max + 1), _legendre_blocks(ell_max, rule.theta_line[:, None], rule.phi_line, gradients))
 
 

@@ -5,11 +5,13 @@ L2(S) misfit; scaling rows of the design matrix and right-hand side by
 sqrt(w_i) makes ||A c - b||_2 equal that norm exactly. The solve is a
 truncated SVD: small matrices and severe ill-conditioning on nonspherical
 surfaces. A is first reduced by a Householder QR and the SVD taken of its
-R, so A's m x n left factor is never built. One factorisation
-serves every right-hand side, each fitted by its own reflections and
-matrix-vector products, so a fit is the same to the last bit alone or
-among others. The retained singular values are a prefix (they come
-sorted): the factors are sliced, not copied.
+R, so A's m x n left factor is never built. A is stored column-major:
+numpy's raw QR returns the transpose of a copy in A's layout, so each
+stored reflector is a contiguous row. One factorisation serves every
+right-hand side, each fitted by its own reflections and matrix-vector
+products, so a fit is the same to the last bit alone or among others.
+The retained singular values are a prefix (they come sorted): the
+factors are sliced, not copied.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ class GrowingSystem:
     x_i; all rows carry sqrt(w_i). Each `extend` draws from node_blocks
     (up to ELL_MAX) only the degrees not seen yet and appends their
     columns, so a loop over nested degrees builds every column once.
+    The matrix is column-major (see the module docstring).
     """
 
     def __init__(self, rule, values: np.ndarray, bc: str, sigma: float):
@@ -90,7 +93,8 @@ class GrowingSystem:
             raise ValueError(f"degree {ell_max} is outside [{self._ell_max}, {ELL_MAX}]")
         new = [bc_trace(self._bc, self._sigma, v, dn) * self._sqrt_w[:, None]
                for v, dn in itertools.islice(self._blocks, ell_max - self._ell_max)]
-        self._matrix = np.concatenate([self._matrix, *new], axis=1)
+        out = np.empty((self._matrix.shape[0], self._matrix.shape[1] + sum(b.shape[1] for b in new)), order="F")
+        self._matrix = np.concatenate([self._matrix, *new], axis=1, out=out)
         self._ell_max = ell_max
         return LsqProblem(self._matrix, self._rhs, self._sqrt_w)
 

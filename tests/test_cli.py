@@ -607,3 +607,30 @@ def test_surface_with_overflowing_weights_exits_before_a_solve(tmp_path, monkeyp
     doc = base_config(surface=surface, data=dict(_POINT, z=[0.1, 0.0, 0.0]))
     with np.errstate(over="ignore"):
         assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]) == code
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_far_field_radius_on_band_limited_data_prints_nothing(tmp_path, capsys, bc):
+    # the oracle's r ** (l+1) overflowed on the error sphere: "RuntimeWarning: overflow" on an exit-0 run
+    doc = base_config(bc={"kind": bc}, data={"type": "band_limited", "coefficients": [[3, 1, 1.0]]},
+                      outputs={"field_radii": [1e150]})
+    assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    (row,) = read_csv(tmp_path / "field_errors.csv")
+    assert all(np.isfinite(float(row[key])) for key in ("l2_error", "sup_error"))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edits, code", [
+    ({"data": dict(_POINT, q=1e308)}, cli.EXIT_CONFIG),
+    ({"surface": {"preset": "cosine_bump", "params": {"a": 1.0, "delta": 0.2, "p": 10**200}},
+      "data": dict(_POINT, z=[0.1, 0.0, 0.0])}, cli.EXIT_GEOMETRY),
+], ids=["data-norm", "overflowing-weights"])
+def test_solve_that_fails_after_load_makes_no_directory(tmp_path, capsys, edits, code):
+    # the output directories were made at load, before the data's norm (exit 2) or the rule's weights
+    # (exit 3) were checked, and out/sub was left behind
+    doc = base_config(**edits)
+    assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out" / "sub")]) == code
+    assert not (tmp_path / "out").exists()
+    assert len(capsys.readouterr().err.splitlines()) == 1

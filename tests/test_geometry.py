@@ -192,3 +192,13 @@ def test_rule_center_is_a_checked_point():
     assert dataclasses.replace(rule, center=np.array([0.5, 0, 0])).center == (0.5, 0.0, 0.0)
     with pytest.raises(ConfigError):
         dataclasses.replace(rule, center=(0.5, 0.0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", [G.SurfaceSpec.sphere(1e300), G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 10**200)],
+                         ids=["sphere-a-1e300", "cosine_bump-p-1e200"])
+def test_overflowing_jacobian_is_refused_without_a_warning(spec):
+    # the Jacobian's squares overflowed with "RuntimeWarning: overflow encountered in square" before
+    # the weight check refused them, so an exit-3 run printed more than its one-line message
+    with pytest.raises(GeometryError, match="weight"):
+        G.build_quadrature(spec, 12, 24)

@@ -191,6 +191,17 @@ def test_grid_blocks_equal_scattered_blocks(gradients):
     for ell, ((h, dn), blocks) in enumerate(zip(nodes, scattered)):
         assert np.array_equal(h, blocks[0] / r[:, None] ** (ell + 1))
         if gradients:
-            assert np.array_equal(dn, np.einsum("ij,ikj->ik", rule.normals, H._gradient_block(ell, blocks, r, frame)))
+            grad = np.stack(H._gradient_block(ell, blocks, r, frame), axis=-1)
+            assert np.array_equal(dn, np.einsum("ij,ikj->ik", rule.normals, grad))
         else:
             assert dn is None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("evaluate", [H.eval_h, H.eval_grad_h], ids=["eval_h", "eval_grad_h"])
+def test_far_evaluation_is_finite_and_silent(evaluate):
+    # r ** (l+1) and r ** (l+2) overflow to inf out here, where the terms are 0; each printed
+    # "RuntimeWarning: overflow encountered in power" (an mrc solve with a far field radius exited 0 after it)
+    values = evaluate(10, np.array([[1e150, 0.0, 0.0], [0.0, 2e150, 1e150]]))
+    assert np.all(np.isfinite(values))
+    assert np.all(values[:, H.n_terms(1):] == 0.0)

@@ -259,3 +259,23 @@ def test_extend_refuses_a_degree_below_the_current_one_or_above_ELL_MAX(sphere_r
             grown.extend(L)
     problem = grown.extend(6)  # the same degree again is the same system
     assert np.array_equal(problem.matrix, system(sphere_rule, 6, np.zeros(sphere_rule.n_nodes), lsq.NEUMANN).matrix)
+
+
+def test_design_matrix_is_column_major_and_its_reflectors_contiguous(sphere_rule):
+    # numpy's raw QR returns the transpose of a copy in A's layout: with a row-major A, each reflector
+    # row that _householder_qtb reads is strided by n doubles
+    growing = lsq.GrowingSystem(sphere_rule, np.ones(sphere_rule.n_nodes), lsq.NEUMANN, 0.0)
+    for L in (0, 3, 7):
+        A = growing.extend(L).matrix
+        assert A.shape == (sphere_rule.n_nodes, (L + 1) ** 2) and A.flags.f_contiguous
+        assert np.linalg.qr(A, mode="raw")[0].flags.c_contiguous
+
+
+def test_householder_projection_equals_the_complete_q(sphere_rule):
+    A = system(sphere_rule, 6, np.zeros(sphere_rule.n_nodes), lsq.ROBIN, 1.0).matrix
+    b = np.random.default_rng(5).standard_normal(sphere_rule.n_nodes)
+    for order in "CF":
+        copy = np.array(A, order=order)
+        h, tau = np.linalg.qr(copy, mode="raw")
+        expected = (np.linalg.qr(copy, mode="complete")[0].T @ b)[: A.shape[1]]
+        assert np.linalg.norm(lsq._householder_qtb(h, tau, b) - expected) <= 1e-13 * np.linalg.norm(expected)
