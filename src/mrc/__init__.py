@@ -22,7 +22,7 @@ from .fields import (
     sup_residual,
 )
 from .geometry import QuadratureRule, SurfaceSpec, build_quadrature, radius_bounds
-from .harmonics import ELL_MAX, eval_Y, eval_grad_h, eval_h, flatten, n_terms, unflatten
+from .harmonics import ELL_MAX, eval_Y, eval_h, flatten, n_terms, unflatten
 from .lsq import DIRICHLET, NEUMANN, ROBIN, LsqProblem, LsqSolution, solve
 
 __version__ = "0.1.0"
@@ -32,7 +32,7 @@ __all__ = [
     "ExteriorField", "GeometryError", "L_MAX_REACHED", "LsqProblem", "LsqSolution",
     "MrcConfig", "MrcError", "NEUMANN", "PointSource", "QuadratureRule", "ROBIN",
     "STAGNATED", "SolveReport", "SolverError", "SurfaceSpec", "boundary_data_from_oracle",
-    "build_quadrature", "error_on_enclosing_sphere", "eval_Y", "eval_grad_h", "eval_h",
+    "build_quadrature", "error_on_enclosing_sphere", "eval_Y", "eval_h",
     "flatten", "multipole_coefficients", "n_terms", "radius_bounds", "run_mrc", "solve",
     "sup_residual", "unflatten",
 ]

@@ -4,7 +4,10 @@ An ExteriorField is the truncated expansion sum_k c_k h_k(x). Oracles are
 harmonic functions with closed forms (a point source q/|x-z| with z inside
 the surface, or an explicit band-limited expansion, itself an
 ExteriorField) used to manufacture boundary data and measure true errors.
-The point-source convention is q/|x-z| with no 4*pi factor.
+The point-source convention is q/|x-z| with no 4*pi factor. The boundary
+trace of an ExteriorField at a rule's nodes is its coefficients applied to
+the design matrix's own columns (harmonics.node_blocks about the rule's
+center); a point source's comes from its closed-form value and gradient.
 """
 
 from __future__ import annotations
@@ -55,11 +58,6 @@ class ExteriorField:
         v = harmonics.eval_h(self.ell_max, pts, self.center) @ self.coefficients
         return float(v[0]) if single else v
 
-    def gradient(self, x) -> np.ndarray:
-        pts, single = self._exterior_points(x)
-        g = np.einsum("ikj,k->ij", harmonics.eval_grad_h(self.ell_max, pts, self.center), self.coefficients)
-        return g[0] if single else g
-
 
 class PointSource:
     """Harmonic oracle v(x) = q / |x - z| for a source z inside the surface."""
@@ -105,8 +103,16 @@ class BoundaryData:
 
 
 def _trace(fn, rule, bc: str, sigma: float) -> np.ndarray:
-    """The lsq.bc_trace of a harmonic function with a gradient (an oracle
-    or a fitted field) at the nodes; computes only what the kind reads."""
+    """The lsq.bc_trace of a harmonic function (an oracle or a fitted field) at the nodes; computes only
+    what the kind reads. An ExteriorField's is its coefficients applied to the bc_trace columns of
+    node_blocks, those it is fitted with: a ValueError unless it is about rule.center with no node
+    inside its inscribed sphere. A point source's comes from its closed forms."""
+    if isinstance(fn, ExteriorField):
+        if tuple(fn.center) != rule.center:
+            raise ValueError(f"the field is expanded about {fn.center}, the rule built about {rule.center}")
+        fn._exterior_points(rule.points)
+        columns = [bc_trace(bc, sigma, h, dn) for h, dn in harmonics.node_blocks(fn.ell_max, rule, bc != DIRICHLET)]
+        return np.concatenate(columns, axis=1) @ fn.coefficients
     values = fn(rule.points) if bc != NEUMANN else None
     normal = np.einsum("ij,ij->i", rule.normals, fn.gradient(rule.points)) if bc != DIRICHLET else None
     return bc_trace(bc, sigma, values, normal)

@@ -104,7 +104,9 @@ def _legendre_blocks(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivativ
     The recurrence runs on theta and the sines and cosines on phi; a point's
     value is the product of the two either way, so a grid node gets the bits
     of its angles given point by point. Block l has shape (n_points, 2l+1) in
-    flat order; the derivatives are None unless requested.
+    flat order; the derivatives are None unless requested. They are refused at a
+    pole (sin(theta) = 0), where their 1/sin(theta) factors are not finite; Gauss
+    nodes never lie there.
     """
     s = np.sin(theta)
     if derivatives and np.any(np.abs(s) < 1e-13):
@@ -130,18 +132,14 @@ def _legendre_blocks(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivativ
     return itertools.starmap(block, _legendre(ell_max, theta))  # unlike a generator, starmap holds no drawn block
 
 
-def ylm(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivatives: bool = False) -> tuple[np.ndarray, ...]:
+def ylm(ell_max: int, theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray]:
     """Evaluate all Y_lm with l <= ell_max at angles (theta, phi).
 
-    Returns (Y,) or (Y, dY/dtheta, dY/dphi); each array has shape
-    (n_points, (ell_max+1)^2) in flat index order. Derivative evaluation
-    at a pole (sin(theta) = 0) is refused: the 1/sin(theta) factors are
-    only finite away from the poles, which quadrature nodes guarantee.
+    Returns (Y,), Y of shape (n_points, (ell_max+1)^2) in flat index order.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    blocks = list(_legendre_blocks(ell_max, theta, phi, derivatives))
-    return tuple(np.concatenate([b[i] for b in blocks], axis=1) for i in range(3 if derivatives else 1))
+    return (np.concatenate([Y for Y, _, _ in _legendre_blocks(ell_max, theta, phi)], axis=1),)
 
 
 def _gradient_block(ell: int, blocks: tuple, r: np.ndarray, frame: tuple) -> tuple[np.ndarray, ...]:
@@ -191,18 +189,6 @@ def eval_h(ell_max: int, x, center=(0.0, 0.0, 0.0)) -> np.ndarray:
     return h[0] if single else h
 
 
-def eval_grad_h(ell_max: int, x, center=(0.0, 0.0, 0.0)) -> np.ndarray:
-    """Cartesian gradients of all h_lm at x; shape (n, K, 3) or (K, 3)."""
-    single, r, theta, phi = _angles_of(x, center)
-    frame = spherical_frame(theta, phi)
-    grad = np.concatenate(
-        [np.stack(_gradient_block(ell, blocks, r, frame), axis=-1)
-         for ell, blocks in enumerate(_legendre_blocks(ell_max, theta, phi, derivatives=True))],
-        axis=1,
-    )
-    return grad[0] if single else grad
-
-
 def node_blocks(ell_max: int, rule, gradients: bool = False):
     """An iterator of (h, n . grad h) at the rule's nodes, one (n_nodes, 2l+1) block
     per degree l = 0..ell_max; the second entry is None without gradients.
@@ -216,7 +202,9 @@ def node_blocks(ell_max: int, rule, gradients: bool = False):
     frame = spherical_frame(rule.theta, rule.phi) if gradients else None
     nx, ny, nz = rule.normals.T[:, :, None]
     def block(ell: int, blocks: tuple) -> tuple:
-        h = blocks[0] / r[:, None] ** (ell + 1)
+        with np.errstate(over="ignore"):  # far out r^(l+1) is inf, and h 0
+            rpow = r[:, None] ** (ell + 1)
+        h = blocks[0] / rpow
         if not gradients:
             return h, None
         gx, gy, gz = _gradient_block(ell, blocks, r, frame)

@@ -12,23 +12,27 @@ from mrc import lsq
 from mrc.errors import ConfigError, SolverError
 
 
-def band_limited_data(rule, ell, m):
+def band_limited_data(rule, ell, m, bc="dirichlet", sigma=0.0):
     c = np.zeros(H.n_terms(ell))
     c[H.flatten(ell, m)] = 1.0
-    return F.boundary_data_from_oracle(rule, F.BandLimited(c))
+    return F.boundary_data_from_oracle(rule, F.BandLimited(c), bc, sigma)
 
 
-def test_band_limited_exact_recovery():
+@pytest.mark.parametrize("bc, factor", [("dirichlet", 1.0), ("neumann", -4.0), ("robin", -3.5)])
+def test_band_limited_exact_recovery(bc, factor):
+    # on the unit sphere the trace of h_32 is factor * Y_32: 1, -(l+1) and -(l+1) + sigma; sigma = 0.5
+    # keeps clear of sigma = 1, where the degree-0 Robin trace -(0+1) + sigma vanishes
     spec = G.SurfaceSpec.sphere(1.0)
     rule = G.build_quadrature(spec, 24, 48)
-    data = band_limited_data(rule, 3, 2)
+    data = band_limited_data(rule, 3, 2, bc, 0.5 if bc == "robin" else 0.0)
     report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-10, L_start=2))
     assert report.termination == D.CONVERGED
     assert report.chosen_L == 3
     assert report.final_residual <= 1e-12
-    # f = Y_32 is orthogonal to degrees <= 2: residual at L=2 is ||f|| = 1
+    assert np.max(np.abs(report.coefficients - data.oracle.coefficients)) <= 1e-13
+    # f = factor * Y_32 is orthogonal to degrees <= 2: residual at L=2 is ||f|| = |factor|
     assert report.history[0].L == 2
-    assert report.history[0].residual_l2 == pytest.approx(1.0, rel=1e-12)
+    assert report.history[0].residual_l2 == pytest.approx(abs(factor), rel=1e-12)
 
 
 def test_zero_data_converges_immediately():

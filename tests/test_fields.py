@@ -160,6 +160,28 @@ def test_sup_residual_zero_data():
     assert F.sup_residual(rule, field, data) == 0.0
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin"])
+def test_trace_about_another_center_refused(bc):
+    # the trace is taken from the columns of node_blocks about rule.center, so a field about another point has none
+    rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0), 16, 32)
+    c = np.zeros(H.n_terms(2))
+    c[H.flatten(2, 1)] = 1.0
+    oracle = F.BandLimited(c, center=(0.1, 0.0, 0.0))
+    with pytest.raises(ValueError, match="expanded about"):
+        F.boundary_data_from_oracle(rule, oracle, bc, 0.5)
+    data = F.BoundaryData(bc=bc, values=np.zeros(rule.n_nodes), sigma=0.5)
+    for field in (oracle, make_field(c, r_min=0.5, r_max=1.0, center=(0.1, 0.0, 0.0))):
+        with pytest.raises(ValueError, match="expanded about"):
+            F.sup_residual(rule, field, data)
+
+
+def test_sup_residual_inside_inscribed_sphere_refused():
+    rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0), 16, 32)
+    data = F.BoundaryData(bc="neumann", values=np.zeros(rule.n_nodes))
+    with pytest.raises(ValueError, match="inscribed sphere"):
+        F.sup_residual(rule, make_field(np.ones(9), r_min=1.5, r_max=2.0), data)
+
+
 def test_fitted_field_far_decay():
     # t * v(t * xhat) approaches the monopole amplitude like 1/t; the
     # leftover at finite t is the dipole term |c_1| * Y / t

@@ -127,44 +127,41 @@ def test_decay_rate():
         assert np.allclose(scaled, ref, rtol=1e-12, atol=1e-15)
 
 
+def node_normal_derivatives(L, rule):
+    """n . grad h of every h_lm with l <= L at the rule's nodes, as node_blocks gives it."""
+    return np.concatenate([dn for _, dn in H.node_blocks(L, rule, True)], axis=1)
+
+
 def test_grad_h00_closed_form():
-    x = np.array([1.0, 2.0, -2.0])
-    r = np.linalg.norm(x)
-    expected = -x / (SQRT_4PI * r**3)
-    assert np.allclose(H.eval_grad_h(0, x)[0], expected, rtol=1e-14)
+    # n . grad h_00 = -1 / (sqrt(4 pi) a^2) on a sphere of radius a about any center
+    a = 1.7
+    rule = G.build_quadrature(G.SurfaceSpec.sphere(a, (0.4, -1.1, 2.3)), 12, 24)
+    assert np.allclose(node_normal_derivatives(0, rule)[:, 0], -1.0 / (SQRT_4PI * a**2), rtol=1e-14, atol=0)
 
 
 def test_gradient_euler_homogeneity():
-    rng = np.random.default_rng(5)
-    L = 8
-    ells = H.degrees(L)
-    for _ in range(20):
-        x = rng.normal(size=3)
-        x *= rng.uniform(1.0, 3.0) / np.linalg.norm(x)
-        h = H.eval_h(L, x)
-        radial = H.eval_grad_h(L, x) @ x
-        assert np.allclose(radial, -(ells + 1) * h, rtol=1e-12, atol=1e-14)
+    # h_lm is homogeneous of degree -(l+1), and a sphere's normal is radial: n . grad h = -(l+1) h / a
+    a, L = 1.3, 8
+    rule = G.build_quadrature(G.SurfaceSpec.sphere(a, (0.2, 0.5, -0.3)), 16, 32)
+    for ell, (h, dn) in enumerate(H.node_blocks(L, rule, True)):
+        assert np.allclose(dn, -(ell + 1) * h / a, rtol=1e-12, atol=1e-14)
 
 
 def test_gradient_matches_finite_differences():
-    rng = np.random.default_rng(11)
-    L = 8
-    for _ in range(10):
-        x = rng.normal(size=3)
-        x *= rng.uniform(1.2, 2.5) / np.linalg.norm(x)
-        g = H.eval_grad_h(L, x)
-        fd = np.empty_like(g)
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1e-6
-            fd[:, j] = (H.eval_h(L, x + e) - H.eval_h(L, x - e)) / 2e-6
-        scale = np.max(np.abs(g)) + 1e-300
-        assert np.max(np.abs(g - fd)) / scale <= 1e-6
+    # central differences of eval_h along the normals of a bumpy surface about an offset center
+    center = (0.3, -0.2, 0.1)
+    rule = G.build_quadrature(G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3, center=center), 12, 24)
+    L, step = 8, 1e-6
+    dn = node_normal_derivatives(L, rule)
+    forward = H.eval_h(L, rule.points + step * rule.normals, center)
+    backward = H.eval_h(L, rule.points - step * rule.normals, center)
+    fd = (forward - backward) / (2 * step)
+    assert np.max(np.abs(dn - fd)) / np.max(np.abs(dn)) <= 1e-6
 
 
 def test_pole_derivatives_rejected():
     with pytest.raises(ValueError):
-        H.ylm(3, np.array([0.0]), np.array([0.0]), derivatives=True)
+        H._legendre_blocks(3, np.array([0.0]), np.array([0.0]), derivatives=True)
 
 
 def test_ell_max_cap():
@@ -197,11 +194,21 @@ def test_grid_blocks_equal_scattered_blocks(gradients):
             assert dn is None
 
 
+def far_h():
+    return [H.eval_h(10, np.array([[1e150, 0.0, 0.0], [0.0, 2e150, 1e150]]))]
+
+
+def far_node_blocks():
+    rule = G.build_quadrature(G.SurfaceSpec.sphere(1e150), 12, 24)
+    return [np.concatenate(b, axis=1) for b in zip(*H.node_blocks(10, rule, True))]  # h, then n . grad h
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("evaluate", [H.eval_h, H.eval_grad_h], ids=["eval_h", "eval_grad_h"])
+@pytest.mark.parametrize("evaluate", [far_h, far_node_blocks], ids=["eval_h", "node_blocks"])
 def test_far_evaluation_is_finite_and_silent(evaluate):
     # r ** (l+1) and r ** (l+2) overflow to inf out here, where the terms are 0; each printed
-    # "RuntimeWarning: overflow encountered in power" (an mrc solve with a far field radius exited 0 after it)
-    values = evaluate(10, np.array([[1e150, 0.0, 0.0], [0.0, 2e150, 1e150]]))
-    assert np.all(np.isfinite(values))
-    assert np.all(values[:, H.n_terms(1):] == 0.0)
+    # "RuntimeWarning: overflow encountered in power" (an mrc solve with a far field radius,
+    # or on a sphere of radius 1e150, exited 0 after it)
+    for values in evaluate():
+        assert np.all(np.isfinite(values))
+        assert np.all(values[:, H.n_terms(1):] == 0.0)
