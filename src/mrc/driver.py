@@ -5,13 +5,17 @@ The basis columns are nested by degree, so the weighted design matrix is
 tabulated once per run and grown as L rises: each step appends only the
 columns of its new degrees, solves the system for degrees 0..L by a
 Householder QR and a truncated SVD of its R (lsq.solve), and adds a row to
-one table: the DegreeRecord of every data vector, and the fit. One rule,
-stop, ends a vector's history at an epsilon: at the first row <= epsilon
-(converged); else after stagnation_patience steps in a row, each above
-stagnation_factor x the step before (stagnated); else where it runs out:
-at L_max or, if LAPACK fails part-way, as stagnated. A stagnated run
-reports its last fit, not its best: near the round-off floor the residual
-can rise (a Neumann run to the floor: 1.6e-12 at L=25, 4.0e-12 at L=28).
+one table: the DegreeRecord of every data vector, and the fit. On a surface
+the spec declares axisymmetric (sphere, spheroid) the system is grown as
+lsq.OrderSystem, one small block per azimuthal order, and the
+n_nodes x (L+1)^2 matrix of lsq.GrowingSystem is never built; lsq.solve
+factors either. One rule, stop, ends a vector's history at an epsilon: at
+the first row <= epsilon (converged); else after stagnation_patience steps
+in a row, each above stagnation_factor x the step before (stagnated); else
+where it runs out: at L_max or, if LAPACK fails part-way, as stagnated. A
+stagnated run reports its last fit, not its best: near the round-off floor
+the residual can rise (a Neumann run to the floor: 1.6e-12 at L=25,
+4.0e-12 at L=28).
 
 The loop runs a group of cells at once (run_mrc_grid): data vectors on one
 surface, rule and bc, each under several epsilons, are the right-hand sides
@@ -26,7 +30,7 @@ from dataclasses import asdict, dataclass, field as dc_field, fields as dc_field
 import numpy as np
 
 from . import fields, geometry, harmonics, lsq
-from .errors import ConfigError, SolverError, require_number
+from .errors import ConfigError, GeometryError, SolverError, require_number
 
 CONVERGED = "converged"
 L_MAX_REACHED = "L_max_reached"
@@ -137,7 +141,8 @@ def run_mrc_grid(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule, data
     below L_max, the rule is refined (and the data resampled via its oracle); tabulated data instead
     caps L_max at it, a ConfigError if that is below L_start (a RunConfig checks this at load).
     Either adjustment is recorded in the report as rule_refined. A rule built about another
-    center than spec's is a ValueError, a data vector with an infinite L2(S) norm a ConfigError."""
+    center than spec's is a ValueError, a data vector with an infinite L2(S) norm a ConfigError,
+    a surface whose inscribed radius to the power L_max + 2 underflows a GeometryError."""
     if rule.center != spec.center:
         raise ValueError(f"the rule is built about {rule.center}, the surface about {spec.center}")
     refined = geometry.max_degree(rule.n_theta, rule.n_phi) < cfg.L_max
@@ -152,8 +157,12 @@ def run_mrc_grid(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule, data
         f_norms = [float(np.sqrt(np.sum(rule.weights * d.values**2))) for d in data]
     if not np.all(np.isfinite(f_norms)):
         raise ConfigError(f"boundary data norms {f_norms} are not all finite")
-    system = lsq.GrowingSystem(rule, np.stack([d.values for d in data]), data[0].bc, data[0].sigma)
+    system = (lsq.OrderSystem if spec.axisymmetric else lsq.GrowingSystem)(
+        rule, np.stack([d.values for d in data]), data[0].bc, data[0].sigma)
     r_min, r_max = geometry.radius_bounds(spec)
+    if r_min < np.finfo(float).tiny ** (1.0 / (L_max + 2)):  # r_min^(L_max+2), a column's divisor, underflows
+        raise GeometryError(f"the surface is too small: its inscribed radius {r_min} to the power L_max + 2 = "
+                            f"{L_max + 2} underflows (fitting in the surface's own unit of length is ROADMAP item 8)")
     # one row per degree, [records, fit]; a fit is kept while its row is the last or some stop ends there
     table, ran_out = [], L_MAX_REACHED
 

@@ -27,6 +27,7 @@ class Preset(NamedTuple):
     rho: Callable  # rho(theta, phi, **params)
     drho: Callable  # (d rho/d theta, d rho/d phi) = drho(theta, phi, **params)
     checks: tuple  # (predicate(**params), what it requires) pairs
+    axisymmetric: bool = False  # rho does not depend on phi: a surface of revolution about the z-axis through center
 
 
 def _shape(theta, phi):
@@ -41,12 +42,14 @@ PRESETS = {
         lambda t, f, a: np.broadcast_to(a, _shape(t, f)).copy(),
         lambda t, f, a: (np.zeros(_shape(t, f)), np.zeros(_shape(t, f))),
         (_A_POSITIVE,),
+        axisymmetric=True,
     ),
     "spheroid": Preset(
         {"a": None, "e": None},
         lambda t, f, a, e: a * (1.0 + e * np.cos(t) ** 2) * np.ones_like(f),
         lambda t, f, a, e: (-2.0 * a * e * np.cos(t) * np.sin(t) * np.ones_like(f), np.zeros(_shape(t, f))),
         (_A_POSITIVE, (lambda e, **_: e > -1, "eccentricity e > -1")),
+        axisymmetric=True,
     ),
     "cosine_bump": Preset(
         {"a": None, "delta": None, "k": 2, "p": 3},
@@ -102,6 +105,11 @@ class SurfaceSpec:
     @property
     def uses_fd_derivatives(self) -> bool:
         return self.kind == "custom"
+
+    @property
+    def axisymmetric(self) -> bool:
+        """Whether the preset declares a surface of revolution about the z-axis through the center; custom is not."""
+        return self.kind != "custom" and PRESETS[self.kind].axisymmetric
 
     # -- radial function and derivatives -------------------------------
 
@@ -211,6 +219,11 @@ def max_degree(n_theta: int, n_phi: int) -> int:
     return min(n_theta - 1, (n_phi - 1) // 2)
 
 
+def uniform_phi_line(n_phi: int) -> np.ndarray:
+    """The n_phi azimuths 2*pi*j/n_phi, j = 0..n_phi-1, of every rule build_quadrature makes."""
+    return 2.0 * np.pi * np.arange(n_phi) / n_phi
+
+
 def sphere_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(theta, phi, weights) of the Gauss-Legendre (cos theta) x trapezoid (phi) rule on the
     unit sphere, theta-major: n_theta theta-lines of n_phi nodes each."""
@@ -219,7 +232,7 @@ def sphere_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.nd
     theta_1d = np.arccos(xg)  # decreasing in x -> increasing theta ordering below
     order = np.argsort(theta_1d)
     theta_1d, wg = theta_1d[order], wg[order]
-    phi_1d = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    phi_1d = uniform_phi_line(n_phi)
     return np.repeat(theta_1d, n_phi), np.tile(phi_1d, n_theta), np.repeat(wg, n_phi) * (2.0 * np.pi / n_phi)
 
 

@@ -81,7 +81,7 @@ def _legendre(ell_max: int, theta: np.ndarray):
         yield ell, p, p2
 
 
-def _azimuthal(ell_max: int, phi: np.ndarray) -> np.ndarray:
+def azimuthal(ell_max: int, phi: np.ndarray) -> np.ndarray:
     """The azimuthal factors, shape phi.shape + (2*ell_max+1,): entry ell_max+m
     is 1 for m = 0, sqrt(2)*cos(m*phi) for m > 0 and sqrt(2)*sin(|m|*phi) for
     m < 0, so the degree-l slice lists the orders m = -l..l in flat order.
@@ -96,40 +96,66 @@ def _azimuthal(ell_max: int, phi: np.ndarray) -> np.ndarray:
     return az
 
 
-def _legendre_blocks(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivatives: bool = False):
-    """An iterator of (Y, dY/dtheta, dY/dphi) for the degrees l = 0..ell_max in turn.
+def azimuthal_coefficients(values: np.ndarray, ell_max: int) -> np.ndarray:
+    """The coefficients against azimuthal's factors of the rows of `values`, sampled on the uniform
+    phi-lines 2*pi*j/n_phi (the last axis): shape values.shape[:-1] + (2*ell_max+1,) in azimuthal's
+    order, equal to values @ az / n_phi, and exact while 2*ell_max < n_phi. A real FFT takes them
+    at the grid's exact angles; the table's cos(m*phi) carries the rounding of m*phi, which near
+    m = 28 leaks about 1e-14 of the data between orders."""
+    spectrum = np.fft.rfft(values, axis=-1)[..., : ell_max + 1] / values.shape[-1]
+    out = np.empty(values.shape[:-1] + (2 * ell_max + 1,))
+    out[..., ell_max] = spectrum[..., 0].real
+    out[..., ell_max + 1 :] = _SQRT2 * spectrum[..., 1:].real  # cos(m phi)
+    out[..., :ell_max] = -_SQRT2 * spectrum[..., ell_max:0:-1].imag  # sin(|m| phi), m = -ell_max..-1
+    return out
 
-    theta and phi broadcast: equal-length arrays give scattered points, a
-    column of theta-lines against a row of phi-lines their theta-major grid.
-    The recurrence runs on theta and the sines and cosines on phi; a point's
-    value is the product of the two either way, so a grid node gets the bits
-    of its angles given point by point. Block l has shape (n_points, 2l+1) in
-    flat order; the derivatives are None unless requested. They are refused at a
-    pole (sin(theta) = 0), where their 1/sin(theta) factors are not finite; Gauss
-    nodes never lie there.
+
+def _legendre_lines(ell_max: int, theta: np.ndarray, derivatives: bool = False):
+    """An iterator of (l, P[l, m], dP[l, m]/dtheta) for the degrees l = 0..ell_max in turn, m = 0..l,
+    each of shape theta.shape + (l+1,): the theta-factors of the harmonics. The derivative is None
+    unless requested. It is refused at a pole (sin(theta) = 0), where its 1/sin(theta) factor is
+    not finite; Gauss nodes never lie there.
     """
     s = np.sin(theta)
     if derivatives and np.any(np.abs(s) < 1e-13):
         raise ValueError("angular derivatives are singular at the poles")
     x = np.cos(theta)[..., None]
-    az = _azimuthal(ell_max, phi)
-    def block(ell: int, p: np.ndarray, p_prev: np.ndarray) -> tuple:
+    def line(ell: int, p: np.ndarray, p_prev: np.ndarray) -> tuple:
+        if not derivatives:
+            return ell, p, None
+        # dP/dtheta = (l*x*P[l,m] - c[l,m]*P[l-1,m]) / sin(theta)
+        c = np.sqrt((2 * ell + 1) / (2 * ell - 1) * (ell * ell - np.arange(ell + 1) ** 2)) if ell > 0 else np.zeros(1)
+        return ell, p, (ell * x * p - c * p_prev) / s[..., None]
+    return itertools.starmap(line, _legendre(ell_max, theta))  # unlike a generator, starmap holds no drawn block
+
+
+def _legendre_blocks(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivatives: bool = False):
+    """An iterator of (Y, dY/dtheta, dY/dphi) for the degrees l = 0..ell_max in turn.
+
+    theta and phi broadcast: equal-length arrays give scattered points, a
+    column of theta-lines against a row of phi-lines their theta-major grid.
+    The recurrence runs on theta (_legendre_lines) and the sines and cosines
+    on phi; a point's value is the product of the two either way, so a grid
+    node gets the bits of its angles given point by point. Block l has shape
+    (n_points, 2l+1) in flat order; the derivatives are None unless requested,
+    and refused at a pole.
+    """
+    lines = _legendre_lines(ell_max, theta, derivatives)
+    az = azimuthal(ell_max, phi)
+    def block(ell: int, p: np.ndarray, dp: np.ndarray | None) -> tuple:
         m = np.arange(-ell, ell + 1)
         pm = p[..., np.abs(m)]  # P[l, |m|] in flat order
         azl = az[..., ell_max - ell : ell_max + ell + 1]
         Y = (pm * azl).reshape(-1, 2 * ell + 1)
         if not derivatives:
             return Y, None, None
-        # dP/dtheta = (l*x*P[l,m] - c[l,m]*P[l-1,m]) / sin(theta)
-        c = np.sqrt((2 * ell + 1) / (2 * ell - 1) * (ell * ell - m[ell:] ** 2)) if ell > 0 else np.zeros(1)
-        dp = (ell * x * p - c * p_prev) / s[..., None]
         dYdt = (dp[..., np.abs(m)] * azl).reshape(-1, 2 * ell + 1)
         # d/dphi maps cos(m phi) to -m sin(m phi) and sin(m phi) to m cos(m phi): order m
         # takes -m times the factor of order -m; order 0 does not depend on phi
         dYdp = (-m * pm * azl[..., ::-1]).reshape(-1, 2 * ell + 1)
         dYdp[:, ell] = 0.0
         return Y, dYdt, dYdp
-    return itertools.starmap(block, _legendre(ell_max, theta))  # unlike a generator, starmap holds no drawn block
+    return itertools.starmap(block, lines)
 
 
 def ylm(ell_max: int, theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray]:
@@ -212,6 +238,27 @@ def node_blocks(ell_max: int, rule, gradients: bool = False):
     return map(block, range(ell_max + 1), _legendre_blocks(ell_max, rule.theta_line[:, None], rule.phi_line, gradients))
 
 
+def line_blocks(ell_max: int, rule, gradients: bool = False):
+    """An iterator of the theta-line factors of (h, n . grad h) on a surface of revolution about the
+    z-axis through rule.center, one (n_theta, l+1) block per degree l = 0..ell_max, whose column k
+    serves the orders m = +-k: the value at node (i, j) is row i times azimuthal's factor of m at
+    phi-line j. The second entry is None without gradients.
+
+    r and the normal's radial and polar components are read at each theta-line's first node. The
+    normal has no azimuthal component on such a surface, so
+    n . grad h = (n_r * -(l+1) * P[l, k] + n_theta * dP[l, k]/dtheta) / r^(l+2) holds exactly.
+    """
+    first = slice(None, None, rule.n_phi)
+    r = np.linalg.norm(rule.points[first] - np.asarray(rule.center), axis=1)[:, None]
+    if gradients:
+        _, rhat, that, _ = spherical_frame(rule.theta_line, rule.phi[first])
+        n_r, n_t = (np.einsum("ij,ij->i", rule.normals[first], e)[:, None] for e in (rhat, that))
+    def block(ell: int, p: np.ndarray, dp: np.ndarray | None) -> tuple:
+        with np.errstate(over="ignore"):  # far out r^(l+1) and r^(l+2) are inf, and the factors 0
+            return p / r ** (ell + 1), (n_r * (-(ell + 1) * p) + n_t * dp) / r ** (ell + 2) if gradients else None
+    return itertools.starmap(block, _legendre_lines(ell_max, rule.theta_line, gradients))
+
+
 def sphere_grid_values(coefficients: list[np.ndarray], radius: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """The expansions sum_k c_k h_k, one per coefficient vector, on the sphere
     |x - c| = radius about their center, at the theta-major grid of the theta-
@@ -220,7 +267,7 @@ def sphere_grid_values(coefficients: list[np.ndarray], radius: float, theta: np.
     theta-line, then multiplied by the phi-lines' azimuthal factors."""
     ell_max = max(math.isqrt(c.shape[0]) - 1 for c in coefficients)
     padded = np.stack([np.pad(c, (0, n_terms(ell_max) - c.shape[0])) for c in coefficients])
-    az = _azimuthal(ell_max, phi)
+    az = azimuthal(ell_max, phi)
     sums = np.zeros((len(coefficients), theta.shape[0], 2 * ell_max + 1))  # field, theta-line, ell_max + m
     for ell, p, _ in _legendre(ell_max, theta):
         with np.errstate(over="ignore"):  # a far sphere's radius ** (l+1) is inf, and its terms 0

@@ -12,6 +12,11 @@ right-hand side, each fitted by its own reflections and matrix-vector
 products, so a fit is the same to the last bit alone or among others.
 The retained singular values are a prefix (they come sorted): the
 factors are sliced, not copied.
+
+On a surface of revolution the system is block-diagonal in the azimuthal
+order m, and OrderSystem builds only its blocks: one small system per
+|m|, each factored by the same route, with the residuals measured on
+every node of the rule as above (see _solve_orders).
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .harmonics import ELL_MAX, node_blocks
+from .geometry import max_degree, uniform_phi_line
+from .harmonics import ELL_MAX, azimuthal, azimuthal_coefficients, line_blocks, n_terms, node_blocks
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -39,6 +45,17 @@ class LsqProblem:
     matrix: np.ndarray  # (n_nodes, n_cols)
     rhs: np.ndarray  # (n_nodes,), or (k, n_nodes): one right-hand side per row
     sqrt_w: np.ndarray  # (n_nodes,) row scaling, kept for diagnostics
+
+
+@dataclass(frozen=True)
+class OrderProblem:
+    """The system of OrderSystem for degrees 0..L, one block per order |m| = k."""
+
+    factors: tuple  # factors[k]: (n_theta, L+1-k) theta-line factors of the bc trace, degrees k..L, unscaled
+    sqrt_w: np.ndarray  # (n_theta,) sqrt of each theta-line's node weight
+    azimuthal: np.ndarray  # (n_phi, 2L+1) factors of the orders m = -L..L (harmonics.azimuthal)
+    projections: np.ndarray  # (n_theta, 2L+1), or (k, n_theta, 2L+1): harmonics.azimuthal_coefficients of the values
+    values: np.ndarray  # (n_theta, n_phi), or (k, n_theta, n_phi): the data on the grid
 
 
 @dataclass(frozen=True)
@@ -63,6 +80,16 @@ def bc_trace(bc: str, sigma: float, values, normal_derivatives):
     raise ValueError(f"unknown boundary condition {bc!r}")
 
 
+def _checked_data(rule, values, bc: str, sigma: float) -> np.ndarray:
+    """The data as floats; a ValueError for a negative Robin coefficient or a length that is not the rule's."""
+    if bc == ROBIN and sigma < 0:
+        raise ValueError("Robin coefficient must be >= 0")
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1] != rule.n_nodes:
+        raise ValueError("boundary data length does not match the quadrature rule")
+    return values
+
+
 class GrowingSystem:
     """The weighted system for the given boundary-condition kind and
     degrees 0..L, grown as L rises; each row of `values` is a right-hand side.
@@ -75,11 +102,7 @@ class GrowingSystem:
     """
 
     def __init__(self, rule, values: np.ndarray, bc: str, sigma: float):
-        if bc == ROBIN and sigma < 0:
-            raise ValueError("Robin coefficient must be >= 0")
-        values = np.asarray(values, dtype=float)
-        if values.shape[-1] != rule.n_nodes:
-            raise ValueError("boundary data length does not match the quadrature rule")
+        values = _checked_data(rule, values, bc, sigma)
         self._bc, self._sigma = bc, sigma
         self._blocks = node_blocks(ELL_MAX, rule, gradients=bc != DIRICHLET)
         self._sqrt_w = np.sqrt(rule.weights)
@@ -99,6 +122,51 @@ class GrowingSystem:
         return LsqProblem(self._matrix, self._rhs, self._sqrt_w)
 
 
+class OrderSystem:
+    """GrowingSystem's system on a surface of revolution about the z-axis through the rule's center,
+    split by azimuthal order; the n_nodes x (L+1)^2 matrix is never built.
+
+    The phi-lines are uniform, and the weights, radii and normal components are constant along each
+    theta-line, so the system is exactly block-diagonal in m. Block k = |m| has one row per
+    theta-line, scaled by sqrt(n_phi w_i), and one column per degree l >= k: the bc_trace of the
+    theta-line factors of harmonics.line_blocks. Blocks m and -m are equal. Each data vector is
+    projected on its own onto the azimuthal factors (harmonics.azimuthal_coefficients, values @ az /
+    n_phi per theta-line), which is exact while 2L < n_phi: `extend(L)` refuses an L above
+    geometry.max_degree of the rule. A rule whose weights vary along a theta-line, or whose
+    phi-lines are not geometry.uniform_phi_line, is a ValueError.
+    """
+
+    def __init__(self, rule, values: np.ndarray, bc: str, sigma: float):
+        values = _checked_data(rule, values, bc, sigma)
+        weights = rule.weights.reshape(rule.n_theta, rule.n_phi)
+        if np.any(weights != weights[:, :1]) or not np.array_equal(rule.phi_line, uniform_phi_line(rule.n_phi)):
+            raise ValueError("the rule is not a surface of revolution on uniform phi-lines: "
+                             "its weights vary along a theta-line, or its phi-lines are not 2*pi*j/n_phi")
+        self._bc, self._sigma = bc, sigma
+        self._ell_cap = min(max_degree(rule.n_theta, rule.n_phi), ELL_MAX)
+        self._lines = line_blocks(self._ell_cap, rule, gradients=bc != DIRICHLET)
+        self._factors = np.empty((self._ell_cap + 1, self._ell_cap + 1, rule.n_theta))  # [k, l, theta-line]
+        self._sqrt_w = np.sqrt(weights[:, 0])
+        self._az = azimuthal(self._ell_cap, rule.phi_line)
+        self._values = values.reshape(values.shape[:-1] + weights.shape)
+        self._projections = np.stack([azimuthal_coefficients(v, self._ell_cap)
+                                      for v in self._values.reshape((-1,) + weights.shape)])
+        self._ell_max = -1
+
+    def extend(self, ell_max: int) -> OrderProblem:
+        """The system for degrees 0..ell_max; ValueError below the current degree or above the rule's."""
+        if not self._ell_max <= ell_max <= self._ell_cap:
+            raise ValueError(f"degree {ell_max} is outside [{self._ell_max}, {self._ell_cap}]")
+        for ell, (h, dn) in enumerate(itertools.islice(self._lines, ell_max - self._ell_max), self._ell_max + 1):
+            self._factors[: ell + 1, ell] = bc_trace(self._bc, self._sigma, h, dn).T
+        self._ell_max = ell_max
+        orders = slice(self._ell_cap - ell_max, self._ell_cap + ell_max + 1)
+        return OrderProblem(factors=tuple(self._factors[k, k : ell_max + 1].T for k in range(ell_max + 1)),
+                            sqrt_w=self._sqrt_w, azimuthal=self._az[:, orders],
+                            projections=self._projections[..., orders].reshape(self._values.shape[:-1] + (-1,)),
+                            values=self._values)
+
+
 def _householder_qtb(h, tau, rhs):
     """The first min(m, n) entries of Q^T rhs, for (h, tau) = np.linalg.qr(A, mode="raw")."""
     y = rhs.copy()
@@ -109,7 +177,7 @@ def _householder_qtb(h, tau, rhs):
     return y[:len(tau)]
 
 
-def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
+def solve(problem: LsqProblem | OrderProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
     """Truncated-SVD minimum-norm least squares of any shape: A = QR is solved
     from the SVD of R (upper trapezoidal if A is wide), which has A's singular values.
 
@@ -117,8 +185,11 @@ def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
     is the minimum-norm minimizer over the retained subspace. Both reported
     residuals, ||A c - b||_2 and the node-max misfit, are recomputed from
     the returned coefficients. A LAPACK failure is raised as SolverError.
-    The factors die with the call: only the fits are returned.
+    The factors die with the call: only the fits are returned. An
+    OrderProblem is solved block by block by the same route (_solve_orders).
     """
+    if isinstance(problem, OrderProblem):
+        return _solve_orders(problem, svd_rtol)
     A, b = problem.matrix, problem.rhs
     if A.size == 0:
         raise SolverError("empty system")
@@ -144,3 +215,46 @@ def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
     c, residual, sup = fits[0] if b.ndim == 1 else map(np.array, zip(*fits))
     return LsqSolution(coefficients=c, residual_l2=residual, sup_residual=sup, rank=rank,
                        cond_estimate=float(svals[0] / svals[-1]))
+
+
+def _solve_orders(problem: OrderProblem, svd_rtol: float) -> LsqSolution:
+    """solve for an OrderProblem: each block is factored as a full system is, and truncated against
+    the largest singular value of all blocks. Rank and condition number are those of the union of
+    the blocks' singular values, each block of an order k > 0 counted twice (for m = k and m = -k):
+    the singular values of the n_nodes x (L+1)^2 system. Each data vector's fit is synthesised on
+    every node, its theta-line factors of each order times the azimuthal factors, and both
+    residuals are measured there."""
+    L, (n_theta, n_phi) = len(problem.factors) - 1, problem.values.shape[-2:]
+    scale = np.sqrt(n_phi) * problem.sqrt_w  # the row scaling sqrt(n_phi w_i)
+    try:
+        factored = []
+        for F in problem.factors:
+            h, tau = np.linalg.qr(scale[:, None] * F, mode="raw")
+            factored.append((h, tau, *np.linalg.svd(np.triu(h[:, : F.shape[1]].T))))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"SVD failed: {exc}") from exc
+    s_max = max(svals[0] for _, _, _, svals, _ in factored)
+    kept = []  # each block's retained prefix
+    for h, tau, U, svals, Vt in factored:
+        r = int(np.sum(svals >= svd_rtol * s_max)) if s_max > 0 else 0
+        kept.append((h, tau, U[:, :r], svals[:r], Vt[:r]))
+    retained = [svals for _, _, _, svals, _ in kept]
+    rank = len(retained[0]) + 2 * sum(len(svals) for svals in retained[1:])
+    if rank == 0:
+        raise SolverError("all singular values fall below the truncation threshold")
+
+    fits = []
+    for values, projected in zip(problem.values.reshape(-1, n_theta, n_phi),
+                                 problem.projections.reshape(-1, n_theta, 2 * L + 1)):
+        c, lines = np.zeros(n_terms(L)), np.empty((n_theta, 2 * L + 1))  # lines: the fit's theta-factor of each order
+        for k, (F, (h, tau, U, svals, Vt)) in enumerate(zip(problem.factors, kept)):
+            ells = np.arange(k, L + 1)
+            for m in (k, -k) if k else (0,):  # each data vector and order projected and fitted on its own
+                ck = Vt.T @ ((U.T @ _householder_qtb(h, tau, scale * projected[:, L + m])) / svals)
+                c[ells * ells + ells + m] = ck
+                lines[:, L + m] = F @ ck
+        misfit = lines @ problem.azimuthal.T - values
+        fits.append((c, float(np.linalg.norm(misfit * problem.sqrt_w[:, None])), float(np.max(np.abs(misfit)))))
+    c, residual, sup = fits[0] if problem.values.ndim == 2 else map(np.array, zip(*fits))
+    return LsqSolution(coefficients=c, residual_l2=residual, sup_residual=sup, rank=rank,
+                       cond_estimate=float(s_max / min(svals[-1] for svals in retained if len(svals))))

@@ -7,6 +7,7 @@ import pytest
 
 from mrc import cli
 from mrc import geometry as G
+from mrc import lsq
 from mrc.config import RunConfig
 from mrc.errors import ConfigError
 
@@ -491,9 +492,11 @@ def test_sweep_rows_equal_single_solves(tmp_path):
 
 
 def test_one_svd_per_degree_per_group(tmp_path, monkeypatch):
+    # one factorisation per degree for the whole group: lsq.solve is the one per-degree entry (on a
+    # spheroid it runs one small SVD per azimuthal order, so np.linalg.svd is not the count)
     calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    solve = lsq.solve
+    monkeypatch.setattr(lsq, "solve", lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
     doc = base_config(surface={"preset": "spheroid", "params": {"a": 1.0, "e": 0.5}},
                       data=dict(_POINT), mrc={"epsilon": 1e-6, "L_start": 2, "L_max": 20})
     doc["grid"] = {"data.z": [[0.3, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.3], [0.1, -0.2, 0.1]],
@@ -634,3 +637,19 @@ def test_solve_that_fails_after_load_makes_no_directory(tmp_path, capsys, edits,
     assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out" / "sub")]) == code
     assert not (tmp_path / "out").exists()
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("surface", [
+    {"preset": "sphere", "params": {"a": 1e-150}},  # split by order
+    {"preset": "cosine_bump", "params": {"a": 1e-150, "delta": 0.2}},  # the full system
+])
+def test_surface_too_small_for_its_degrees_exits_3_before_a_solve(tmp_path, capsys, surface):
+    # r^(L_max+2) underflowed: the degree blocks divided by 0 with two RuntimeWarnings, and the run
+    # exited 4 with "adaptive loop terminated before completing a single solve"
+    doc = base_config(surface=surface, data=dict(_POINT, z=[1e-151, 0.0, 0.0]), mrc={"epsilon": 1e-6, "L_max": 12})
+    out = tmp_path / "out"
+    assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(out)]) == cli.EXIT_GEOMETRY
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "inscribed radius" in line and "e-15" in line and "ROADMAP item 8" in line
+    assert not out.exists()

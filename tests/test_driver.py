@@ -321,3 +321,20 @@ def test_rule_about_another_center_is_refused():
     report = D.run_mrc(spec, rule, F.boundary_data_from_oracle(rule, oracle), cfg)
     assert report.termination == D.CONVERGED
     assert F.error_on_enclosing_sphere(report.field, oracle, 3.0).l2 <= 1e-11
+
+
+@pytest.mark.parametrize("spec, problem", [
+    (G.SurfaceSpec.sphere(1.0), lsq.OrderProblem),
+    (G.SurfaceSpec.spheroid(1.0, 0.5), lsq.OrderProblem),
+    (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), lsq.LsqProblem),
+    (G.SurfaceSpec("custom", rho_fn=lambda t, f: 1.0 + 0.1 * np.cos(t) ** 2), lsq.LsqProblem),
+])
+def test_only_declared_surfaces_of_revolution_split_by_order(monkeypatch, spec, problem):
+    # the declaration in geometry.PRESETS picks the system; a custom rho_fn declares nothing
+    assert spec.axisymmetric == (problem is lsq.OrderProblem)
+    solved, solve = [], lsq.solve
+    monkeypatch.setattr(D.lsq, "solve", lambda p, *args: solved.append(type(p)) or solve(p, *args))
+    rule = G.build_quadrature(spec, 16, 32)
+    data = F.boundary_data_from_oracle(rule, F.PointSource([0.1, 0.0, 0.0]))
+    assert D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-6, L_max=8)).termination == D.CONVERGED
+    assert solved and set(solved) == {problem}

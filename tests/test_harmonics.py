@@ -212,3 +212,21 @@ def test_far_evaluation_is_finite_and_silent(evaluate):
     for values in evaluate():
         assert np.all(np.isfinite(values))
         assert np.all(values[:, H.n_terms(1):] == 0.0)
+
+
+def test_azimuthal_coefficients_take_the_grid_angles_exactly():
+    # values @ azimuthal / n_phi, by a real FFT: the table's cos(m * phi) carries the rounding of
+    # m * phi, 3.5e-15 here, which an order-split solve would see as a floor of about 1.5e-14
+    n_phi, L = 62, 30
+    values = np.random.default_rng(1).standard_normal((6, n_phi))
+    j = np.arange(n_phi)
+    exact = np.empty((6, 2 * L + 1))
+    exact[:, L] = values.mean(axis=1)
+    for m in range(1, L + 1):
+        angle = 2.0 * np.pi * ((m * j) % n_phi) / n_phi  # reduced before it is rounded
+        exact[:, L + m] = values @ (np.sqrt(2.0) * np.cos(angle)) / n_phi
+        exact[:, L - m] = values @ (np.sqrt(2.0) * np.sin(angle)) / n_phi
+    coefficients = H.azimuthal_coefficients(values, L)
+    assert np.max(np.abs(coefficients - exact)) <= 5e-16
+    table = values @ H.azimuthal(L, G.uniform_phi_line(n_phi)) / n_phi
+    assert np.max(np.abs(coefficients - table)) <= 1e-14

@@ -279,3 +279,49 @@ def test_householder_projection_equals_the_complete_q(sphere_rule):
         h, tau = np.linalg.qr(copy, mode="raw")
         expected = (np.linalg.qr(copy, mode="complete")[0].T @ b)[: A.shape[1]]
         assert np.linalg.norm(lsq._householder_qtb(h, tau, b) - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+ORDER_CASES = {  # surface, L: a sphere and an off-center spheroid, both surfaces of revolution
+    "sphere": (G.SurfaceSpec.sphere(1.2), 6),
+    "spheroid-off-center": (G.SurfaceSpec.spheroid(1.0, 0.5, center=(0.1, -0.2, 0.05)), 6),
+}
+
+
+@pytest.mark.parametrize("bc, sigma", [(lsq.DIRICHLET, 0.0), (lsq.NEUMANN, 0.0), (lsq.ROBIN, 1.0)])
+@pytest.mark.parametrize("name", ORDER_CASES)
+def test_order_blocks_solve_the_full_system(name, bc, sigma):
+    spec, L = ORDER_CASES[name]
+    rule = G.build_quadrature(spec, 24, 48)
+    sources = (np.add(spec.center, [0.3, 0.0, 0.0]), np.add(spec.center, [0.0, -0.1, 0.25]))
+    values = np.stack([F.boundary_data_from_oracle(rule, F.PointSource(z), bc, sigma).values for z in sources])
+    full = lsq.solve(lsq.GrowingSystem(rule, values, bc, sigma).extend(L))
+    split = lsq.solve(lsq.OrderSystem(rule, values, bc, sigma).extend(L))
+    assert split.rank == full.rank == (L + 1) ** 2
+    assert split.cond_estimate == pytest.approx(full.cond_estimate, rel=1e-10)
+    for key in ("residual_l2", "sup_residual"):
+        assert np.allclose(getattr(split, key), getattr(full, key), rtol=1e-10, atol=0.0)
+    for c_split, c_full in zip(split.coefficients, full.coefficients):
+        assert np.max(np.abs(c_split - c_full)) <= 1e-10 * np.max(np.abs(c_full))
+
+
+def test_order_blocks_keep_the_robin_eigenvalue_deficit():
+    # on sphere(1), sigma = 1 the monopole column vanishes: rank 195 of 196 at L = 13. Each order
+    # k > 0 counts twice, so an odd rank puts the deficit in the k = 0 block
+    rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0), 24, 48)
+    values = F.boundary_data_from_oracle(rule, F.PointSource([0.3, 0.0, 0.0]), lsq.ROBIN, 1.0).values
+    full = lsq.solve(lsq.GrowingSystem(rule, values, lsq.ROBIN, 1.0).extend(13))
+    split = lsq.solve(lsq.OrderSystem(rule, values, lsq.ROBIN, 1.0).extend(13))
+    assert split.rank == full.rank == 195
+    assert abs(split.coefficients[0]) <= 1e-8  # the minimum-norm fit leaves c_00 out
+    assert np.max(np.abs(split.coefficients - full.coefficients)) <= 1e-10 * np.max(np.abs(full.coefficients))
+    assert split.residual_l2 == pytest.approx(full.residual_l2, rel=1e-10)
+
+
+def test_order_system_refuses_what_it_cannot_split():
+    bump = G.build_quadrature(G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), 24, 48)
+    with pytest.raises(ValueError, match="not a surface of revolution"):
+        lsq.OrderSystem(bump, np.zeros(bump.n_nodes), lsq.DIRICHLET, 0.0)
+    rule = G.build_quadrature(G.SurfaceSpec.spheroid(1.0, 0.5), 24, 48)
+    system = lsq.OrderSystem(rule, np.zeros(rule.n_nodes), lsq.DIRICHLET, 0.0)
+    with pytest.raises(ValueError, match="outside"):  # 2L < n_phi keeps the azimuthal projection exact
+        system.extend(G.max_degree(rule.n_theta, rule.n_phi) + 1)
