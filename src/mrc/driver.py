@@ -5,17 +5,17 @@ The basis columns are nested by degree, so the weighted design matrix is
 tabulated once per run and grown as L rises: each step appends only the
 columns of its new degrees, solves the system for degrees 0..L by a
 Householder QR and a truncated SVD of its R (lsq.solve), and adds a row to
-one table: the DegreeRecord of every data vector, and the fit. On a surface
-the spec declares axisymmetric (sphere, spheroid) the system is grown as
-lsq.OrderSystem, one small block per azimuthal order, and the
-n_nodes x (L+1)^2 matrix of lsq.GrowingSystem is never built; lsq.solve
-factors either. One rule, stop, ends a vector's history at an epsilon: at
-the first row <= epsilon (converged); else after stagnation_patience steps
-in a row, each above stagnation_factor x the step before (stagnated); else
-where it runs out: at L_max or, if LAPACK fails part-way, as stagnated. A
-stagnated run reports its last fit, not its best: near the round-off floor
-the residual can rise (a Neumann run to the floor: 1.6e-12 at L=25,
-4.0e-12 at L=28).
+one table: the DegreeRecord of every data vector, and the fit. On a
+surface the spec declares axisymmetric (sphere, spheroid) the system is
+grown as lsq.OrderSystem, one small block per azimuthal order, and the
+n_nodes x (L+1)^2 matrix of lsq.GrowingSystem is never built; one
+lsq.solve body factors the blocks of either. One rule, stop, ends a
+vector's history at an epsilon: at the first row <= epsilon (converged);
+else after stagnation_patience steps in a row, each above
+stagnation_factor x the step before (stagnated); else where it runs out:
+at L_max or, if LAPACK fails part-way, as stagnated. A stagnated run
+reports its last fit, not its best: near the round-off floor the residual
+can rise (a Neumann run to the floor: 1.6e-12 at L=25, 4.0e-12 at L=28).
 
 The loop runs a group of cells at once (run_mrc_grid): data vectors on one
 surface, rule and bc, each under several epsilons, are the right-hand sides

@@ -13,23 +13,26 @@ products, so a fit is the same to the last bit alone or among others.
 The retained singular values are a prefix (they come sorted): the
 factors are sliced, not copied.
 
-On a surface of revolution the system is block-diagonal in the azimuthal
-order m, and OrderSystem builds only its blocks: one small system per
-|m|, each factored by the same route, with the residuals measured on
-every node of the rule as above (see _solve_orders).
+Every system is a tuple of blocks, solved by one body: a GrowingSystem
+is one block, the whole matrix. On a surface of revolution the system is
+block-diagonal in the azimuthal order m, and OrderSystem builds one
+small block per |m|, shared by m and -m. Each block is factored as
+above, and both residuals are recomputed by the system itself from the
+flat coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SolverError
 from .geometry import max_degree, uniform_phi_line
-from .harmonics import ELL_MAX, azimuthal, azimuthal_coefficients, line_blocks, n_terms, node_blocks
+from .harmonics import ELL_MAX, azimuthal, azimuthal_coefficients, line_blocks, node_blocks
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -39,23 +42,33 @@ SVD_RTOL = 1e-12  # default relative truncation of the singular values
 
 
 @dataclass(frozen=True)
-class LsqProblem:
-    """sqrt(w)-scaled design matrix and right-hand side(s)."""
+class Block:
+    """One sqrt(w)-weighted matrix and the copies it serves: each copy is a set of columns of the system."""
 
-    matrix: np.ndarray  # (n_nodes, n_cols)
-    rhs: np.ndarray  # (n_nodes,), or (k, n_nodes): one right-hand side per row
-    sqrt_w: np.ndarray  # (n_nodes,) row scaling, kept for diagnostics
+    matrix: np.ndarray  # (n_rows, n_cols)
+    rhs: np.ndarray  # (n_data, n_copies, n_rows): each data vector's right-hand side of each copy
+    columns: np.ndarray  # (n_copies, n_cols): each copy's flat coefficient indices
 
 
 @dataclass(frozen=True)
-class OrderProblem:
-    """The system of OrderSystem for degrees 0..L, one block per order |m| = k."""
+class LsqProblem:
+    """A system as blocks, with its own recomputation of the misfit of a data vector's flat
+    coefficients: residuals(i, c) is (its weighted L2 norm, its max over the nodes)."""
 
-    factors: tuple  # factors[k]: (n_theta, L+1-k) theta-line factors of the bc trace, degrees k..L, unscaled
-    sqrt_w: np.ndarray  # (n_theta,) sqrt of each theta-line's node weight
-    azimuthal: np.ndarray  # (n_phi, 2L+1) factors of the orders m = -L..L (harmonics.azimuthal)
-    projections: np.ndarray  # (n_theta, 2L+1), or (k, n_theta, 2L+1): harmonics.azimuthal_coefficients of the values
-    values: np.ndarray  # (n_theta, n_phi), or (k, n_theta, n_phi): the data on the grid
+    blocks: tuple[Block, ...]
+    residuals: Callable[[int, np.ndarray], tuple[float, float]]
+    single: bool  # one 1-D data vector: the solution holds one fit, not one per data vector
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray, rhs: np.ndarray, sqrt_w: np.ndarray) -> LsqProblem:
+        """The one-block problem of a whole sqrt(w)-weighted matrix, with one right-hand side per
+        row of rhs (or rhs alone); the misfit is A c - b, its node values (A c - b) / sqrt(w)."""
+        rows = np.atleast_2d(rhs)
+
+        def residuals(i, c):
+            misfit = matrix @ c - rows[i]
+            return float(np.linalg.norm(misfit)), float(np.max(np.abs(misfit) / sqrt_w))
+        return cls((Block(matrix, rows[:, None], np.arange(matrix.shape[1])[None]),), residuals, np.ndim(rhs) == 1)
 
 
 @dataclass(frozen=True)
@@ -119,7 +132,7 @@ class GrowingSystem:
         out = np.empty((self._matrix.shape[0], self._matrix.shape[1] + sum(b.shape[1] for b in new)), order="F")
         self._matrix = np.concatenate([self._matrix, *new], axis=1, out=out)
         self._ell_max = ell_max
-        return LsqProblem(self._matrix, self._rhs, self._sqrt_w)
+        return LsqProblem.from_matrix(self._matrix, self._rhs, self._sqrt_w)
 
 
 class OrderSystem:
@@ -129,11 +142,12 @@ class OrderSystem:
     The phi-lines are uniform, and the weights, radii and normal components are constant along each
     theta-line, so the system is exactly block-diagonal in m. Block k = |m| has one row per
     theta-line, scaled by sqrt(n_phi w_i), and one column per degree l >= k: the bc_trace of the
-    theta-line factors of harmonics.line_blocks. Blocks m and -m are equal. Each data vector is
-    projected on its own onto the azimuthal factors (harmonics.azimuthal_coefficients, values @ az /
-    n_phi per theta-line), which is exact while 2L < n_phi: `extend(L)` refuses an L above
-    geometry.max_degree of the rule. A rule whose weights vary along a theta-line, or whose
-    phi-lines are not geometry.uniform_phi_line, is a ValueError.
+    theta-line factors of harmonics.line_blocks. It serves two copies, m = k and m = -k, for k > 0.
+    The data vectors are projected onto the azimuthal factors (harmonics.azimuthal_coefficients,
+    values @ az / n_phi per theta-line), which is exact while 2L < n_phi: `extend(L)` refuses an L
+    above geometry.max_degree of the rule. Both residuals are measured on every node, from the fit
+    synthesised there. A rule whose weights vary along a theta-line, or whose phi-lines are not
+    geometry.uniform_phi_line, is a ValueError.
     """
 
     def __init__(self, rule, values: np.ndarray, bc: str, sigma: float):
@@ -147,24 +161,38 @@ class OrderSystem:
         self._lines = line_blocks(self._ell_cap, rule, gradients=bc != DIRICHLET)
         self._factors = np.empty((self._ell_cap + 1, self._ell_cap + 1, rule.n_theta))  # [k, l, theta-line]
         self._sqrt_w = np.sqrt(weights[:, 0])
+        self._scale = np.sqrt(rule.n_phi) * self._sqrt_w  # the row scaling sqrt(n_phi w_i)
         self._az = azimuthal(self._ell_cap, rule.phi_line)
-        self._values = values.reshape(values.shape[:-1] + weights.shape)
-        self._projections = np.stack([azimuthal_coefficients(v, self._ell_cap)
-                                      for v in self._values.reshape((-1,) + weights.shape)])
+        self._single = values.ndim == 1
+        self._values = values.reshape((-1,) + weights.shape)
+        projections = azimuthal_coefficients(self._values, self._ell_cap)  # [i, theta-line, m]
+        self._rhs = np.moveaxis(self._scale[:, None] * projections, -1, -2)  # [i, m, theta-line]
         self._ell_max = -1
 
-    def extend(self, ell_max: int) -> OrderProblem:
+    def extend(self, ell_max: int) -> LsqProblem:
         """The system for degrees 0..ell_max; ValueError below the current degree or above the rule's."""
         if not self._ell_max <= ell_max <= self._ell_cap:
             raise ValueError(f"degree {ell_max} is outside [{self._ell_max}, {self._ell_cap}]")
         for ell, (h, dn) in enumerate(itertools.islice(self._lines, ell_max - self._ell_max), self._ell_max + 1):
             self._factors[: ell + 1, ell] = bc_trace(self._bc, self._sigma, h, dn).T
-        self._ell_max = ell_max
-        orders = slice(self._ell_cap - ell_max, self._ell_cap + ell_max + 1)
-        return OrderProblem(factors=tuple(self._factors[k, k : ell_max + 1].T for k in range(ell_max + 1)),
-                            sqrt_w=self._sqrt_w, azimuthal=self._az[:, orders],
-                            projections=self._projections[..., orders].reshape(self._values.shape[:-1] + (-1,)),
-                            values=self._values)
+        self._ell_max = L = ell_max
+        factors = [self._factors[k, k : L + 1].T for k in range(L + 1)]  # block k unscaled, degrees k..L
+        orders = [(k, -k) if k else (0,) for k in range(L + 1)]
+        blocks = []
+        for k, (F, ms) in enumerate(zip(factors, orders)):
+            ells = np.arange(k, L + 1)
+            blocks.append(Block(self._scale[:, None] * F, self._rhs[:, [self._ell_cap + m for m in ms]],
+                                np.array([ells * ells + ells + m for m in ms])))
+        az = self._az[:, self._ell_cap - L : self._ell_cap + L + 1]
+
+        def residuals(i, c):
+            lines = np.empty((len(self._sqrt_w), 2 * L + 1))  # the fit's theta-line factor of each order
+            for F, ms, block in zip(factors, orders, blocks):
+                for m, columns in zip(ms, block.columns):
+                    lines[:, L + m] = F @ c[columns]
+            misfit = lines @ az.T - self._values[i]
+            return float(np.linalg.norm(misfit * self._sqrt_w[:, None])), float(np.max(np.abs(misfit)))
+        return LsqProblem(tuple(blocks), residuals, self._single)
 
 
 def _householder_qtb(h, tau, rhs):
@@ -177,84 +205,45 @@ def _householder_qtb(h, tau, rhs):
     return y[:len(tau)]
 
 
-def solve(problem: LsqProblem | OrderProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
-    """Truncated-SVD minimum-norm least squares of any shape: A = QR is solved
+def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
+    """Truncated-SVD minimum-norm least squares of any shape: each block A = QR is solved
     from the SVD of R (upper trapezoidal if A is wide), which has A's singular values.
 
-    Singular values below svd_rtol * sigma_max are discarded; the solution
-    is the minimum-norm minimizer over the retained subspace. Both reported
-    residuals, ||A c - b||_2 and the node-max misfit, are recomputed from
-    the returned coefficients. A LAPACK failure is raised as SolverError.
-    The factors die with the call: only the fits are returned. An
-    OrderProblem is solved block by block by the same route (_solve_orders).
+    Singular values below svd_rtol * sigma_max of all blocks are discarded; the solution is the
+    minimum-norm minimizer over the retained subspace. Rank and condition number are those of
+    the union of the blocks' singular values, each block counted once per copy: the singular
+    values of the whole system. Each right-hand side is fitted on its own, and both residuals
+    are recomputed by the problem from the returned coefficients. A LAPACK failure is raised as
+    SolverError. The factors die with the call: only the fits are returned.
     """
-    if isinstance(problem, OrderProblem):
-        return _solve_orders(problem, svd_rtol)
-    A, b = problem.matrix, problem.rhs
-    if A.size == 0:
+    if sum(block.matrix.size for block in problem.blocks) == 0:
         raise SolverError("empty system")
-    m, n = A.shape
-    if m < n:
-        warnings.warn(f"underdetermined system ({m} rows < {n} cols)", stacklevel=2)
-    try:
-        h, tau = np.linalg.qr(A, mode="raw")
-        U, svals, Vt = np.linalg.svd(np.triu(h[:, :n].T))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"SVD failed: {exc}") from exc
-    keep = svals >= svd_rtol * svals[0] if svals[0] > 0 else np.zeros_like(svals, bool)
-    rank = int(keep.sum())
-    if rank == 0:
-        raise SolverError("all singular values fall below the truncation threshold")
-
-    U, svals, Vt = U[:, :rank], svals[:rank], Vt[:rank]  # keep is a prefix: svals are sorted
-    fits = []
-    for rhs in np.atleast_2d(b):  # each right-hand side projected and fitted as if it were alone
-        c = Vt.T @ ((U.T @ _householder_qtb(h, tau, rhs)) / svals)
-        misfit = A @ c - rhs
-        fits.append((c, float(np.linalg.norm(misfit)), float(np.max(np.abs(misfit) / problem.sqrt_w))))
-    c, residual, sup = fits[0] if b.ndim == 1 else map(np.array, zip(*fits))
-    return LsqSolution(coefficients=c, residual_l2=residual, sup_residual=sup, rank=rank,
-                       cond_estimate=float(svals[0] / svals[-1]))
-
-
-def _solve_orders(problem: OrderProblem, svd_rtol: float) -> LsqSolution:
-    """solve for an OrderProblem: each block is factored as a full system is, and truncated against
-    the largest singular value of all blocks. Rank and condition number are those of the union of
-    the blocks' singular values, each block of an order k > 0 counted twice (for m = k and m = -k):
-    the singular values of the n_nodes x (L+1)^2 system. Each data vector's fit is synthesised on
-    every node, its theta-line factors of each order times the azimuthal factors, and both
-    residuals are measured there."""
-    L, (n_theta, n_phi) = len(problem.factors) - 1, problem.values.shape[-2:]
-    scale = np.sqrt(n_phi) * problem.sqrt_w  # the row scaling sqrt(n_phi w_i)
     try:
         factored = []
-        for F in problem.factors:
-            h, tau = np.linalg.qr(scale[:, None] * F, mode="raw")
-            factored.append((h, tau, *np.linalg.svd(np.triu(h[:, : F.shape[1]].T))))
+        for block in problem.blocks:
+            m, n = block.matrix.shape
+            if m < n:
+                warnings.warn(f"underdetermined system ({m} rows < {n} cols)", stacklevel=2)
+            h, tau = np.linalg.qr(block.matrix, mode="raw")
+            factored.append((h, tau, *np.linalg.svd(np.triu(h[:, :n].T))))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"SVD failed: {exc}") from exc
     s_max = max(svals[0] for _, _, _, svals, _ in factored)
-    kept = []  # each block's retained prefix
+    kept = []  # each block's retained prefix: the singular values come sorted
     for h, tau, U, svals, Vt in factored:
         r = int(np.sum(svals >= svd_rtol * s_max)) if s_max > 0 else 0
         kept.append((h, tau, U[:, :r], svals[:r], Vt[:r]))
-    retained = [svals for _, _, _, svals, _ in kept]
-    rank = len(retained[0]) + 2 * sum(len(svals) for svals in retained[1:])
+    rank = sum(len(block.columns) * len(svals) for block, (_, _, _, svals, _) in zip(problem.blocks, kept))
     if rank == 0:
         raise SolverError("all singular values fall below the truncation threshold")
 
     fits = []
-    for values, projected in zip(problem.values.reshape(-1, n_theta, n_phi),
-                                 problem.projections.reshape(-1, n_theta, 2 * L + 1)):
-        c, lines = np.zeros(n_terms(L)), np.empty((n_theta, 2 * L + 1))  # lines: the fit's theta-factor of each order
-        for k, (F, (h, tau, U, svals, Vt)) in enumerate(zip(problem.factors, kept)):
-            ells = np.arange(k, L + 1)
-            for m in (k, -k) if k else (0,):  # each data vector and order projected and fitted on its own
-                ck = Vt.T @ ((U.T @ _householder_qtb(h, tau, scale * projected[:, L + m])) / svals)
-                c[ells * ells + ells + m] = ck
-                lines[:, L + m] = F @ ck
-        misfit = lines @ problem.azimuthal.T - values
-        fits.append((c, float(np.linalg.norm(misfit * problem.sqrt_w[:, None])), float(np.max(np.abs(misfit)))))
-    c, residual, sup = fits[0] if problem.values.ndim == 2 else map(np.array, zip(*fits))
+    for i in range(len(problem.blocks[0].rhs)):
+        c = np.zeros(sum(block.columns.size for block in problem.blocks))
+        for block, (h, tau, U, svals, Vt) in zip(problem.blocks, kept):
+            for rhs, columns in zip(block.rhs[i], block.columns):  # each data vector and copy fitted as if alone
+                c[columns] = Vt.T @ ((U.T @ _householder_qtb(h, tau, rhs)) / svals)
+        fits.append((c, *problem.residuals(i, c)))
+    c, residual, sup = fits[0] if problem.single else map(np.array, zip(*fits))
     return LsqSolution(coefficients=c, residual_l2=residual, sup_residual=sup, rank=rank,
-                       cond_estimate=float(s_max / min(svals[-1] for svals in retained if len(svals))))
+                       cond_estimate=float(s_max / min(svals[-1] for _, _, _, svals, _ in kept if len(svals))))

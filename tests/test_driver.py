@@ -323,18 +323,20 @@ def test_rule_about_another_center_is_refused():
     assert F.error_on_enclosing_sphere(report.field, oracle, 3.0).l2 <= 1e-11
 
 
-@pytest.mark.parametrize("spec, problem", [
-    (G.SurfaceSpec.sphere(1.0), lsq.OrderProblem),
-    (G.SurfaceSpec.spheroid(1.0, 0.5), lsq.OrderProblem),
-    (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), lsq.LsqProblem),
-    (G.SurfaceSpec("custom", rho_fn=lambda t, f: 1.0 + 0.1 * np.cos(t) ** 2), lsq.LsqProblem),
+@pytest.mark.parametrize("spec, system", [
+    (G.SurfaceSpec.sphere(1.0), lsq.OrderSystem),
+    (G.SurfaceSpec.spheroid(1.0, 0.5), lsq.OrderSystem),
+    (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), lsq.GrowingSystem),
+    (G.SurfaceSpec("custom", rho_fn=lambda t, f: 1.0 + 0.1 * np.cos(t) ** 2), lsq.GrowingSystem),
 ])
-def test_only_declared_surfaces_of_revolution_split_by_order(monkeypatch, spec, problem):
-    # the declaration in geometry.PRESETS picks the system; a custom rho_fn declares nothing
-    assert spec.axisymmetric == (problem is lsq.OrderProblem)
+def test_only_declared_surfaces_of_revolution_split_by_order(monkeypatch, spec, system):
+    # the declaration in geometry.PRESETS picks the system; a custom rho_fn declares nothing. The
+    # order blocks of degree L are L + 1; the whole matrix is one block
+    assert spec.axisymmetric == (system is lsq.OrderSystem)
     solved, solve = [], lsq.solve
-    monkeypatch.setattr(D.lsq, "solve", lambda p, *args: solved.append(type(p)) or solve(p, *args))
+    monkeypatch.setattr(D.lsq, "solve", lambda p, *args: solved.append(len(p.blocks)) or solve(p, *args))
     rule = G.build_quadrature(spec, 16, 32)
     data = F.boundary_data_from_oracle(rule, F.PointSource([0.1, 0.0, 0.0]))
-    assert D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-6, L_max=8)).termination == D.CONVERGED
-    assert solved and set(solved) == {problem}
+    report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-6, L_max=8))
+    assert report.termination == D.CONVERGED
+    assert solved == [h.L + 1 if system is lsq.OrderSystem else 1 for h in report.history]

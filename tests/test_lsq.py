@@ -27,7 +27,7 @@ def basis_values(rule, L):
 
 
 def test_dirichlet_columns_orthonormal(sphere_rule):
-    A = system(sphere_rule, 2, np.zeros(sphere_rule.n_nodes)).matrix
+    A = system(sphere_rule, 2, np.zeros(sphere_rule.n_nodes)).blocks[0].matrix
     assert A.shape[1] == 9
     assert np.max(np.abs(A.T @ A - np.eye(9))) <= 1e-12
 
@@ -39,15 +39,15 @@ def test_neumann_columns_radial_homogeneity(sphere_rule):
     sw = np.sqrt(sphere_rule.weights)
     ells = H.degrees(1)
     expected = -(ells[None, :] + 1) * Y * sw[:, None]
-    assert np.max(np.abs(problem.matrix - expected)) <= 1e-13
+    assert np.max(np.abs(problem.blocks[0].matrix - expected)) <= 1e-13
 
 
 def test_robin_sigma_zero_equals_neumann(sphere_rule):
     f = np.cos(sphere_rule.theta)
     p_neu = system(sphere_rule, 3, f, lsq.NEUMANN)
     p_rob = system(sphere_rule, 3, f, lsq.ROBIN, sigma=0.0)
-    assert np.array_equal(p_neu.matrix, p_rob.matrix)
-    assert np.array_equal(p_neu.rhs, p_rob.rhs)
+    assert np.array_equal(p_neu.blocks[0].matrix, p_rob.blocks[0].matrix)
+    assert np.array_equal(p_neu.blocks[0].rhs, p_rob.blocks[0].rhs)
 
 
 def test_node_count_mismatch(sphere_rule):
@@ -84,7 +84,7 @@ def test_planted_solution_recovery():
     Al = A.astype(np.longdouble)
     oracle = np.linalg.solve((Al.T @ Al).astype(float), (Al.T @ b.astype(np.longdouble)).astype(float))
 
-    problem = lsq.LsqProblem(matrix=A, rhs=b, sqrt_w=np.ones(200))
+    problem = lsq.LsqProblem.from_matrix(A, b, np.ones(200))
     sol = lsq.solve(problem)
     assert np.max(np.abs(sol.coefficients - c_star)) / np.max(np.abs(c_star)) <= 1e-10
     assert np.max(np.abs(oracle - c_star)) / np.max(np.abs(c_star)) <= 1e-8
@@ -104,7 +104,7 @@ def test_truncation_safety(sphere_rule):
     problem = system(sphere_rule, 6, f)
     loose = lsq.solve(problem, svd_rtol=1e-8)
     tight = lsq.solve(problem, svd_rtol=1e-12)
-    b_norm = np.linalg.norm(problem.rhs)
+    b_norm = np.linalg.norm(problem.blocks[0].rhs)
     assert tight.residual_l2 <= loose.residual_l2 + 1e-12 * b_norm
 
 
@@ -121,13 +121,14 @@ def test_weighted_functional_matches_l2_norm(sphere_rule):
     f = sphere_rule.points[:, 2] ** 2
     problem = system(sphere_rule, 3, f)
     c = np.ones(H.n_terms(3))
-    lhs = np.linalg.norm(problem.matrix @ c - problem.rhs)
+    (block,) = problem.blocks
+    lhs = np.linalg.norm(block.matrix @ c - block.rhs[0, 0])
     rhs = np.sqrt(np.sum(sphere_rule.weights * (basis_values(sphere_rule, 3) @ c - f) ** 2))
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def test_degenerate_system_raises():
-    problem = lsq.LsqProblem(matrix=np.zeros((10, 3)), rhs=np.ones(10), sqrt_w=np.ones(10))
+    problem = lsq.LsqProblem.from_matrix(np.zeros((10, 3)), np.ones(10), np.ones(10))
     with pytest.raises(SolverError):
         lsq.solve(problem)
 
@@ -136,7 +137,7 @@ def test_underdetermined_warns_and_min_norm():
     rng = np.random.default_rng(2)
     A = rng.normal(size=(5, 8))
     b = rng.normal(size=5)
-    problem = lsq.LsqProblem(matrix=A, rhs=b, sqrt_w=np.ones(5))
+    problem = lsq.LsqProblem.from_matrix(A, b, np.ones(5))
     with pytest.warns(UserWarning):
         sol = lsq.solve(problem)
     # minimum-norm solution matches numpy's lstsq
@@ -155,7 +156,7 @@ def test_residual_monotone_in_nested_bases(sphere_rule):
 def test_lapack_failure_is_solver_error(sphere_rule):
     # a NaN entry makes the SVD fail to converge; that is a solver error
     problem = system(sphere_rule, 2, np.ones(sphere_rule.n_nodes))
-    problem.matrix[0, 0] = np.nan
+    problem.blocks[0].matrix[0, 0] = np.nan
     with pytest.raises(SolverError):
         lsq.solve(problem)
 
@@ -168,7 +169,7 @@ def test_unknown_bc_kind_rejected(sphere_rule):
 def svd_reference(problem, svd_rtol=lsq.SVD_RTOL):
     """The truncated minimum-norm fit from a thin SVD of the whole of A, the
     route a tall solve replaces: (coefficients, rank, condition, residual)."""
-    A, b = problem.matrix, problem.rhs
+    A, b = problem.blocks[0].matrix, problem.blocks[0].rhs[0, 0]
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     k = int(np.sum(s >= svd_rtol * s[0]))
     c = Vt[:k].T @ ((U[:, :k].T @ b) / s[:k])
@@ -189,7 +190,8 @@ def test_qr_route_matches_svd_of_the_whole_matrix(name):
     rule = G.build_quadrature(spec, 24, 48)
     data = F.boundary_data_from_oracle(rule, F.PointSource([0.3, 0.0, 0.0]), bc, sigma)
     problem = lsq.GrowingSystem(rule, data.values, bc, sigma).extend(L)
-    assert problem.matrix.shape[0] > problem.matrix.shape[1]
+    m, n = problem.blocks[0].matrix.shape
+    assert m > n
     sol = lsq.solve(problem)
     c, rank, cond, residual = svd_reference(problem)
     assert sol.rank == rank
@@ -197,7 +199,7 @@ def test_qr_route_matches_svd_of_the_whole_matrix(name):
     assert np.max(np.abs(sol.coefficients - c)) <= 1e-12 * np.max(np.abs(c))
     assert sol.residual_l2 == pytest.approx(residual, rel=1e-10)
     if name == "sphere-robin-eigenvalue":
-        assert rank == problem.matrix.shape[1] - 1
+        assert rank == n - 1
         assert abs(sol.coefficients[0]) <= 1e-8  # the minimum-norm fit leaves c_00 out
 
 
@@ -210,21 +212,22 @@ def test_tall_solve_takes_the_svd_of_r_only(sphere_rule, monkeypatch):
     lsq.solve(system(sphere_rule, 4, np.cos(sphere_rule.theta)))
     rng = np.random.default_rng(7)
     for m, n in ((12, 12), (5, 8)):
-        lsq.solve(lsq.LsqProblem(matrix=rng.normal(size=(m, n)), rhs=rng.normal(size=m), sqrt_w=np.ones(m)))
+        lsq.solve(lsq.LsqProblem.from_matrix(rng.normal(size=(m, n)), rng.normal(size=m), np.ones(m)))
     assert [a.shape for a in factored] == [(25, 25), (12, 12), (5, 8)]
     assert all(np.array_equal(a, np.triu(a)) for a in factored)
 
 
 def test_many_right_hand_sides_fit_as_if_alone(sphere_rule):
+    # on the whole matrix and on the order blocks of the same rule alike
     sources = ([0.3, 0.0, 0.0], [0.0, -0.2, 0.25], [0.1, 0.1, -0.4])
     values = np.stack([F.PointSource(z)(sphere_rule.points) for z in sources])
-    problem = system(sphere_rule, 7, values)
-    together = lsq.solve(problem)
-    for i, rhs in enumerate(problem.rhs):
-        alone = lsq.solve(lsq.LsqProblem(problem.matrix, rhs, problem.sqrt_w))
-        assert np.array_equal(together.coefficients[i], alone.coefficients)
-        assert together.residual_l2[i] == alone.residual_l2
-        assert together.sup_residual[i] == alone.sup_residual
+    for grown in (lsq.GrowingSystem, lsq.OrderSystem):
+        together = lsq.solve(grown(sphere_rule, values, lsq.DIRICHLET, 0.0).extend(7))
+        for i, f in enumerate(values):
+            alone = lsq.solve(grown(sphere_rule, f, lsq.DIRICHLET, 0.0).extend(7))
+            assert np.array_equal(together.coefficients[i], alone.coefficients)
+            assert together.residual_l2[i] == alone.residual_l2
+            assert together.sup_residual[i] == alone.sup_residual
 
 
 def test_square_system_solves_without_warning():
@@ -233,7 +236,7 @@ def test_square_system_solves_without_warning():
     b = rng.normal(size=12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = lsq.solve(lsq.LsqProblem(matrix=A, rhs=b, sqrt_w=np.ones(12)))
+        sol = lsq.solve(lsq.LsqProblem.from_matrix(A, b, np.ones(12)))
     assert sol.rank == 12
     assert np.allclose(sol.coefficients, np.linalg.solve(A, b), rtol=1e-12, atol=1e-14)
     assert sol.residual_l2 <= 1e-12 * np.linalg.norm(b)
@@ -244,7 +247,7 @@ def test_square_system_solves_without_warning():
 def test_nan_entry_is_solver_error_on_both_routes(shape):
     A = np.random.default_rng(3).normal(size=shape)
     A[shape[0] // 2, 1] = np.nan
-    problem = lsq.LsqProblem(matrix=A, rhs=np.ones(shape[0]), sqrt_w=np.ones(shape[0]))
+    problem = lsq.LsqProblem.from_matrix(A, np.ones(shape[0]), np.ones(shape[0]))
     with pytest.raises(SolverError, match="SVD failed"):
         lsq.solve(problem)
 
@@ -252,13 +255,14 @@ def test_nan_entry_is_solver_error_on_both_routes(shape):
 def test_extend_refuses_a_degree_below_the_current_one_or_above_ELL_MAX(sphere_rule):
     # the system draws its degree blocks up to ELL_MAX: no top degree to pass, or to pass too low
     grown = lsq.GrowingSystem(sphere_rule, np.zeros(sphere_rule.n_nodes), lsq.NEUMANN, 0.0)
-    assert grown.extend(3).matrix.shape[1] == 16
-    assert grown.extend(6).matrix.shape[1] == 49
+    assert grown.extend(3).blocks[0].matrix.shape[1] == 16
+    assert grown.extend(6).blocks[0].matrix.shape[1] == 49
     for L in (5, H.ELL_MAX + 1):
         with pytest.raises(ValueError, match="outside"):
             grown.extend(L)
     problem = grown.extend(6)  # the same degree again is the same system
-    assert np.array_equal(problem.matrix, system(sphere_rule, 6, np.zeros(sphere_rule.n_nodes), lsq.NEUMANN).matrix)
+    assert np.array_equal(problem.blocks[0].matrix,
+                          system(sphere_rule, 6, np.zeros(sphere_rule.n_nodes), lsq.NEUMANN).blocks[0].matrix)
 
 
 def test_design_matrix_is_column_major_and_its_reflectors_contiguous(sphere_rule):
@@ -266,13 +270,13 @@ def test_design_matrix_is_column_major_and_its_reflectors_contiguous(sphere_rule
     # row that _householder_qtb reads is strided by n doubles
     growing = lsq.GrowingSystem(sphere_rule, np.ones(sphere_rule.n_nodes), lsq.NEUMANN, 0.0)
     for L in (0, 3, 7):
-        A = growing.extend(L).matrix
+        A = growing.extend(L).blocks[0].matrix
         assert A.shape == (sphere_rule.n_nodes, (L + 1) ** 2) and A.flags.f_contiguous
         assert np.linalg.qr(A, mode="raw")[0].flags.c_contiguous
 
 
 def test_householder_projection_equals_the_complete_q(sphere_rule):
-    A = system(sphere_rule, 6, np.zeros(sphere_rule.n_nodes), lsq.ROBIN, 1.0).matrix
+    A = system(sphere_rule, 6, np.zeros(sphere_rule.n_nodes), lsq.ROBIN, 1.0).blocks[0].matrix
     b = np.random.default_rng(5).standard_normal(sphere_rule.n_nodes)
     for order in "CF":
         copy = np.array(A, order=order)
