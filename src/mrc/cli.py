@@ -165,7 +165,7 @@ def cmd_sweep(args) -> int:
         try:
             for key, value in zip(keys, values):
                 _set_by_path(doc, key, value)
-            cell = RunConfig.from_dict(doc, base_dir, base=cfg)
+            cell = RunConfig.from_dict(doc, base_dir)
         except CELL_ERRORS as exc:
             outcomes.append(exc)
             continue

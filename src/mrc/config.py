@@ -81,8 +81,8 @@ class RunConfig:
     document: dict  # the config with its defaults filled in
 
     @staticmethod
-    def from_dict(doc: dict, base_dir: Path | None = None, base: "RunConfig | None" = None) -> "RunConfig":
-        """The parsed doc; a `base` run with an equal surface section lends its spec and radius scan."""
+    def from_dict(doc: dict, base_dir: Path | None = None) -> "RunConfig":
+        """The parsed doc; a tabulated data path in it is relative to base_dir."""
         doc = _section(doc, "config", ("surface", "bc", "data", "mrc", "quadrature", "outputs", "grid"))
         for key in ("surface", "data", "mrc"):
             if key not in doc:
@@ -101,9 +101,8 @@ class RunConfig:
             if key != "field_radii" and not (isinstance(name, str) and name.split("/")[-1] not in ("", ".", "..")):
                 raise ConfigError(f"outputs {key} must be a file name, got {name!r}")
         # the spec checks the center, the preset and its parameters against geometry.PRESETS
-        same = base is not None and json.dumps(surface) == json.dumps(base.document["surface"])  # as JSON, 1 != true
-        spec = base.spec if same else geometry.SurfaceSpec(surface.get("preset"), surface.get("params", {}),
-                                                           surface.get("center", (0.0, 0.0, 0.0)))
+        spec = geometry.SurfaceSpec(surface.get("preset"), surface.get("params", {}),
+                                    surface.get("center", (0.0, 0.0, 0.0)))
         if bc.get("kind") not in BC_KINDS:
             raise ConfigError(f"unknown boundary condition {bc.get('kind')!r}")
         sigma = require_number("bc sigma", bc.get("sigma", 0.0))
@@ -124,7 +123,7 @@ class RunConfig:
         n_cells = math.prod(len(vals) for vals in grid.values())
         if n_cells > 10_000:
             raise ConfigError(f"sweep grid has {n_cells} cells (limit 10000)")
-        # the checks that need the surface's radius scan come last
+        # the checks that need the surface's radius bounds come last
         oracle, samples = _data_source(doc["data"], spec, base_dir)
         if oracle is None and resolved < mrc.L_start:  # the driver cannot resample tabulated data on a finer rule
             raise ConfigError(f"tabulated data on a {quadrature} rule, which resolves degree {resolved} < L_start")

@@ -2,7 +2,7 @@
 falls below the target.
 
 The basis columns are nested by degree, so the weighted design matrix is
-tabulated once per run and grown as L rises: each step appends only the
+tabulated once per run and grown as L rises: each step builds only the
 columns of its new degrees, solves the system for degrees 0..L by a
 Householder QR and a truncated SVD of its R (lsq.solve), and adds a row to
 one table: the DegreeRecord of every data vector, and the fit. On a

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -26,6 +25,7 @@ class Preset(NamedTuple):
     params: dict  # name -> default, None if required; an int default makes an int parameter
     rho: Callable  # rho(theta, phi, **params)
     drho: Callable  # (d rho/d theta, d rho/d phi) = drho(theta, phi, **params)
+    bounds: Callable  # (min, max) of rho = bounds(**params), in closed form
     checks: tuple  # (predicate(**params), what it requires) pairs
     axisymmetric: bool = False  # rho does not depend on phi: a surface of revolution about the z-axis through center
 
@@ -41,6 +41,7 @@ PRESETS = {
         {"a": None},
         lambda t, f, a: np.broadcast_to(a, _shape(t, f)).copy(),
         lambda t, f, a: (np.zeros(_shape(t, f)), np.zeros(_shape(t, f))),
+        lambda a: (a, a),
         (_A_POSITIVE,),
         axisymmetric=True,
     ),
@@ -48,6 +49,7 @@ PRESETS = {
         {"a": None, "e": None},
         lambda t, f, a, e: a * (1.0 + e * np.cos(t) ** 2) * np.ones_like(f),
         lambda t, f, a, e: (-2.0 * a * e * np.cos(t) * np.sin(t) * np.ones_like(f), np.zeros(_shape(t, f))),
+        lambda a, e: (min(a, a * (1.0 + e)), max(a, a * (1.0 + e))),  # at the equator and the poles
         (_A_POSITIVE, (lambda e, **_: e > -1, "eccentricity e > -1")),
         axisymmetric=True,
     ),
@@ -58,7 +60,8 @@ PRESETS = {
             a * delta * k * np.sin(t) ** (k - 1) * np.cos(t) * np.cos(p * f),
             -a * delta * p * np.sin(t) ** k * np.sin(p * f),
         ),
-        (_A_POSITIVE, (lambda k, **_: k >= 1, "exponent k >= 1"),
+        lambda a, delta, k, p: (a * (1.0 - abs(delta)), a * (1.0 + abs(delta))),  # at theta = pi/2, cos(p phi) = +-1
+        (_A_POSITIVE, (lambda k, **_: k >= 1, "exponent k >= 1"), (lambda p, **_: p >= 1, "azimuthal order p >= 1"),
          (lambda delta, **_: abs(delta) < 1, "amplitude |delta| < 1")),
     ),
 }
@@ -129,10 +132,6 @@ class SurfaceSpec:
         dt = (self.rho_fn(theta + _FD_STEP, phi) - self.rho_fn(theta - _FD_STEP, phi)) / (2 * _FD_STEP)
         dp = (self.rho_fn(theta, phi + _FD_STEP) - self.rho_fn(theta, phi - _FD_STEP)) / (2 * _FD_STEP)
         return np.asarray(dt, dtype=float), np.asarray(dp, dtype=float)
-
-    @cached_property
-    def _radius_bounds(self) -> tuple[float, float]:
-        return _scan_radius_bounds(self)
 
 
 def _preset_constructor(kind: str):
@@ -265,17 +264,13 @@ def auto_quadrature(spec: SurfaceSpec, L_max: int) -> QuadratureRule:
     return build_quadrature(spec, L_max + 2, max(2 * L_max + 2, 4))
 
 
-_SCAN_GRID = (1441, 2880)  # dense angular grid for radius extrema
+_SCAN_GRID = (1441, 2880)  # dense angular grid for the radius extrema of a custom surface
 _SCAN_ROWS = 64  # theta rows per chunk of the scan
 
 
 def _scan_radius_bounds(spec: SurfaceSpec) -> tuple[float, float]:
-    """(inscribed, enclosing) radius from one scan of a dense angular grid.
-
-    The inscribed radius is the min of rho (no safety factor: shrinking is
-    safe); the enclosing one is the max with a tiny safety factor. The grid
-    is scanned in row chunks; min and max do not depend on the order.
-    """
+    """(min, max) of rho on a dense angular grid, scanned in row chunks (min and max
+    do not depend on the order); a NaN anywhere makes both NaN."""
     nt, np_ = _SCAN_GRID
     theta = np.linspace(0.0, np.pi, nt)
     phi = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
@@ -283,11 +278,16 @@ def _scan_radius_bounds(spec: SurfaceSpec) -> tuple[float, float]:
     for i in range(0, nt, _SCAN_ROWS):
         rho = spec.rho(theta[i : i + _SCAN_ROWS, None], phi[None, :])
         lo, hi = np.minimum(lo, rho.min()), np.maximum(hi, rho.max())  # both keep a NaN
-    if not (lo > 0.0 and hi < np.inf):
-        raise GeometryError("surface radius is non-positive or not finite somewhere")
-    return float(lo), float(hi) * (1.0 + 1e-9)
+    return lo, hi
 
 
 def radius_bounds(spec: SurfaceSpec) -> tuple[float, float]:
-    """(inscribed, enclosing) radius; the grid is scanned once per spec, on first use."""
-    return spec._radius_bounds
+    """(inscribed, enclosing) radius: a preset's closed form, a custom surface's dense scan.
+
+    The inscribed radius is the min of rho (no safety factor: shrinking is
+    safe); the enclosing one is the max with a tiny safety factor.
+    """
+    lo, hi = _scan_radius_bounds(spec) if spec.kind == "custom" else PRESETS[spec.kind].bounds(**spec.params)
+    if not (lo > 0.0 and hi < np.inf):
+        raise GeometryError("surface radius is non-positive or not finite somewhere")
+    return float(lo), float(hi) * (1.0 + 1e-9)

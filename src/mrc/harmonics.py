@@ -158,14 +158,12 @@ def _legendre_blocks(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivativ
     return itertools.starmap(block, lines)
 
 
-def ylm(ell_max: int, theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray]:
-    """Evaluate all Y_lm with l <= ell_max at angles (theta, phi).
-
-    Returns (Y,), Y of shape (n_points, (ell_max+1)^2) in flat index order.
-    """
+def ylm(ell_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Evaluate all Y_lm with l <= ell_max at angles (theta, phi): shape
+    (n_points, (ell_max+1)^2) in flat index order."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    return (np.concatenate([Y for Y, _, _ in _legendre_blocks(ell_max, theta, phi)], axis=1),)
+    return np.concatenate([Y for Y, _, _ in _legendre_blocks(ell_max, theta, phi)], axis=1)
 
 
 def _gradient_block(ell: int, blocks: tuple, r: np.ndarray, frame: tuple) -> tuple[np.ndarray, ...]:
@@ -201,7 +199,7 @@ def eval_Y(ell_max: int, alpha) -> np.ndarray:
     single, norms, theta, phi = _angles_of(alpha)
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise ValueError("alpha must be a unit vector (|alpha| = 1 to 1e-12)")
-    (Y,) = ylm(ell_max, theta, phi)
+    Y = ylm(ell_max, theta, phi)
     return Y[0] if single else Y
 
 

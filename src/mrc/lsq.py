@@ -108,31 +108,31 @@ class GrowingSystem:
     degrees 0..L, grown as L rises; each row of `values` is a right-hand side.
 
     Columns: the bc_trace of each h_k about the rule's center at the nodes
-    x_i; all rows carry sqrt(w_i). Each `extend` draws from node_blocks
-    (up to ELL_MAX) only the degrees not seen yet and appends their
-    columns, so a loop over nested degrees builds every column once.
-    The matrix is column-major (see the module docstring).
+    x_i; all rows carry sqrt(w_i). One column-major table (see the module
+    docstring) is reserved for the degrees up to the rule's max_degree; each
+    `extend` draws from node_blocks only the degrees not seen yet and writes
+    their columns in place, and returns a view: no column is built twice or copied.
     """
 
     def __init__(self, rule, values: np.ndarray, bc: str, sigma: float):
         values = _checked_data(rule, values, bc, sigma)
         self._bc, self._sigma = bc, sigma
-        self._blocks = node_blocks(ELL_MAX, rule, gradients=bc != DIRICHLET)
+        self._ell_cap = min(max_degree(rule.n_theta, rule.n_phi), ELL_MAX)
+        self._blocks = node_blocks(self._ell_cap, rule, gradients=bc != DIRICHLET)
+        self._table = np.empty((rule.n_nodes, (self._ell_cap + 1) ** 2), order="F")
         self._sqrt_w = np.sqrt(rule.weights)
         self._rhs = values * self._sqrt_w
-        self._matrix = np.empty((rule.n_nodes, 0))
         self._ell_max = -1
 
     def extend(self, ell_max: int) -> LsqProblem:
-        """The system for degrees 0..ell_max; ValueError below the current degree or above ELL_MAX."""
-        if not self._ell_max <= ell_max <= ELL_MAX:
-            raise ValueError(f"degree {ell_max} is outside [{self._ell_max}, {ELL_MAX}]")
-        new = [bc_trace(self._bc, self._sigma, v, dn) * self._sqrt_w[:, None]
-               for v, dn in itertools.islice(self._blocks, ell_max - self._ell_max)]
-        out = np.empty((self._matrix.shape[0], self._matrix.shape[1] + sum(b.shape[1] for b in new)), order="F")
-        self._matrix = np.concatenate([self._matrix, *new], axis=1, out=out)
+        """The system for degrees 0..ell_max; ValueError below the current degree or above the rule's."""
+        if not self._ell_max <= ell_max <= self._ell_cap:
+            raise ValueError(f"degree {ell_max} is outside [{self._ell_max}, {self._ell_cap}]")
+        for ell, (v, dn) in enumerate(itertools.islice(self._blocks, ell_max - self._ell_max), self._ell_max + 1):
+            np.multiply(bc_trace(self._bc, self._sigma, v, dn), self._sqrt_w[:, None],
+                        out=self._table[:, ell * ell : (ell + 1) ** 2])
         self._ell_max = ell_max
-        return LsqProblem.from_matrix(self._matrix, self._rhs, self._sqrt_w)
+        return LsqProblem.from_matrix(self._table[:, : (ell_max + 1) ** 2], self._rhs, self._sqrt_w)
 
 
 class OrderSystem:

@@ -313,6 +313,9 @@ def _edit(doc, dotted, value):
         "string-q": {"data": dict(_POINT, q="2")},
         "string-center": {"surface.center": "abc"},
         "m-above-ell": {"data.coefficients": [[1, 3, 1.0]]},
+        # p = 0 is a surface of revolution with other extremes, and p = -3 the surface of p = 3 again
+        "cosine_bump-p-0": {"surface": {"preset": "cosine_bump", "params": {"a": 1.0, "delta": 0.2, "p": 0}}},
+        "cosine_bump-p-negative": {"surface": {"preset": "cosine_bump", "params": {"a": 1.0, "delta": 0.2, "p": -3}}},
         "ell-above-ELL_MAX": {"data.coefficients": [[65, 0, 1.0]]},
         "two-entry-coefficient": {"data.coefficients": [[1, 0]]},
         "numeric-path": {"data": {"type": "tabulated", "path": 5}},
@@ -373,14 +376,15 @@ def test_bad_tabulated_sample_is_config_error(tmp_path, sample):
     assert cli.main(["solve", str(cfg), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
-def test_one_radius_scan_per_solve(tmp_path, monkeypatch):
-    # a point-source solve needs the inscribed radius twice: for the source check and for the field
+def test_preset_solve_makes_no_radius_scan(tmp_path, monkeypatch):
+    # a point-source solve needs the inscribed radius twice: for the source check and for the field;
+    # a preset gives both radii in closed form, so the dense scan of a custom surface never runs
     scans = []
     scan = G._scan_radius_bounds
     monkeypatch.setattr(G, "_scan_radius_bounds", lambda spec: scans.append(spec) or scan(spec))
     cfg = write_config(tmp_path, base_config(data=dict(_POINT), mrc={"epsilon": 1e-6, "L_max": 12}))
     assert cli.main(["solve", str(cfg), "--out", str(tmp_path)]) == 0
-    assert len(scans) == 1
+    assert scans == []
 
 
 def test_sweep_grid_path_through_non_object_is_row_error(tmp_path):
@@ -507,9 +511,8 @@ def test_one_svd_per_degree_per_group(tmp_path, monkeypatch):
     assert len(calls) == max(int(row["chosen_L"]) for row in rows) - 2 + 1
 
 
-def test_sweep_scans_each_surface_once(tmp_path, monkeypatch):
-    # the cells of a sweep that leaves `surface` alone lend the base config's spec, and its one scan;
-    # a cell that varies surface.* scans its own surface, unless it equals the base's
+def test_preset_sweeps_make_no_radius_scan(tmp_path, monkeypatch):
+    # neither a sweep that leaves `surface` alone nor one that varies surface.* scans a preset surface
     scans = []
     scan = G._scan_radius_bounds
     monkeypatch.setattr(G, "_scan_radius_bounds", lambda spec: scans.append(spec) or scan(spec))
@@ -518,11 +521,27 @@ def test_sweep_scans_each_surface_once(tmp_path, monkeypatch):
     doc["grid"] = {"data.z": [[0.3, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.3], [0.1, -0.2, 0.1]],
                    "mrc.epsilon": [1e-4, 1e-6, 1e-8]}
     assert cli.main(["sweep", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "a")]) == 0
-    assert len(scans) == 1
+    assert scans == []
     doc["grid"] = {"surface.params.e": [0.3, 0.5]}
     assert cli.main(["sweep", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "b")]) == 0
-    assert [spec.params["e"] for spec in scans[1:]] == [0.5, 0.3]
+    assert scans == []
     assert all(row["termination"] == "converged" for row in read_csv(tmp_path / "b" / "sweep.csv"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_source_in_a_valley_of_a_64_lobed_bump_exits_2(tmp_path, capsys, monkeypatch):
+    # at theta = pi/2, phi = pi/64 the surface dips to a(1 - delta) = 0.8 between the phi-lines of a dense
+    # 1441 x 2880 scan, which reads an inscribed radius of 0.80049: this source outside the surface passed
+    # the load check, and the run exited 5
+    monkeypatch.setattr(cli.driver, "run_mrc_grid", _no_solve)
+    z = [0.8003 * np.cos(np.pi / 64), 0.8003 * np.sin(np.pi / 64), 0.0]
+    doc = base_config(surface={"preset": "cosine_bump", "params": {"a": 1.0, "delta": 0.2, "p": 64}},
+                      data=dict(_POINT, z=z), mrc={"epsilon": 1e-6, "L_max": 12})
+    out = tmp_path / "out"
+    assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(out)]) == cli.EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "inscribed sphere" in line
+    assert not out.exists()
 
 
 def _no_solve(*args, **kwargs):

@@ -46,7 +46,7 @@ def test_multipole_validated_against_projection():
     L = 10
     rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0), 40, 80)
     f = 1.0 / np.linalg.norm(rule.points - z, axis=1)
-    (Y,) = H.ylm(L, rule.theta, rule.phi)
+    Y = H.ylm(L, rule.theta, rule.phi)
     projection = (Y * rule.weights[:, None]).T @ f  # h_lm = Y_lm on the unit sphere
     assert np.max(np.abs(F.multipole_coefficients(z, 1.0, L) - projection)) <= 1e-10
 
@@ -56,7 +56,7 @@ def test_multipole_off_axis_source():
     L = 8
     rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0), 40, 80)
     f = 2.5 / np.linalg.norm(rule.points - z, axis=1)
-    (Y,) = H.ylm(L, rule.theta, rule.phi)
+    Y = H.ylm(L, rule.theta, rule.phi)
     projection = (Y * rule.weights[:, None]).T @ f
     assert np.max(np.abs(F.multipole_coefficients(z, 2.5, L) - projection)) <= 1e-10
 

@@ -122,6 +122,9 @@ def test_bad_preset_params_rejected():
         G.SurfaceSpec.cosine_bump(1.0, 1.5)
     with pytest.raises(ConfigError):
         G.SurfaceSpec("octahedron", {"a": 1.0})
+    for p in (0, -3):  # p = 0 is a surface of revolution, p = -3 that of p = 3 again
+        with pytest.raises(ConfigError, match="p >= 1"):
+            G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, p)
 
 
 def test_custom_shape_fd_fallback_flagged():
@@ -153,11 +156,33 @@ def test_nan_radius_between_nodes_rejected():
         G.radius_bounds(spec)
 
 
+def _scanned(spec):
+    """The radius bounds of spec's surface given as a custom rho_fn: the dense scan's."""
+    return G.radius_bounds(G.SurfaceSpec("custom", rho_fn=spec.rho, center=spec.center))
+
+
 def test_radius_scan_matches_full_grid():
     spec = G.SurfaceSpec.cosine_bump(1.0, 0.2, 3, 5)
     nt, np_ = G._SCAN_GRID
     rho = spec.rho(np.linspace(0.0, np.pi, nt)[:, None], np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)[None, :])
-    assert G.radius_bounds(spec) == (rho.min(), rho.max() * (1.0 + 1e-9))
+    assert _scanned(spec) == (rho.min(), rho.max() * (1.0 + 1e-9))
+
+
+def test_preset_radius_bounds_equal_the_scan_where_its_grid_holds_the_extremes():
+    # the scan's grid holds the equator, the poles, phi = 0 and phi = pi/p for these p: there the closed
+    # forms (a, a), the min and max of a and a(1 + e), and a(1 -+ |delta|) are its min and max to the bit
+    specs = [G.SurfaceSpec.sphere(1.2), G.SurfaceSpec.spheroid(1.0, 0.5), G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3),
+             G.SurfaceSpec.sphere(0.3), G.SurfaceSpec.spheroid(1.3, -0.4), G.SurfaceSpec.spheroid(0.7, 2.5)]
+    specs += [G.SurfaceSpec.cosine_bump(1.1, delta, k, p, center=(0.1, 0.0, -0.2))
+              for k in range(1, 5) for p in [*range(1, 13), 16] for delta in (0.2, -0.35)]
+    assert [spec for spec in specs if G.radius_bounds(spec) != _scanned(spec)] == []
+
+
+def test_preset_inscribed_radius_is_the_valley_the_scan_misses():
+    # 64 lobes put the valleys at phi = pi/64 + k pi/32, between the scan's phi-lines
+    spec = G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 64)
+    assert G.radius_bounds(spec)[0] == 1.0 * (1.0 - 0.2) < _scanned(spec)[0]
+    assert np.min(spec.rho(np.pi / 2, np.pi / 64 + np.arange(64) * np.pi / 32)) == pytest.approx(0.8, rel=1e-14)
 
 
 def test_rule_that_is_not_the_theta_phi_grid_is_refused():

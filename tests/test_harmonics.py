@@ -74,7 +74,7 @@ def test_non_unit_direction_rejected():
 def test_discrete_orthonormality_to_L20():
     L = 20
     rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0), L + 1, 2 * L + 1)
-    (Y,) = H.ylm(L, rule.theta, rule.phi)
+    Y = H.ylm(L, rule.theta, rule.phi)
     gram = (Y * rule.weights[:, None]).T @ Y
     assert np.max(np.abs(gram - np.eye(H.n_terms(L)))) <= 1e-12
 

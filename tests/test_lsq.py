@@ -35,7 +35,7 @@ def test_dirichlet_columns_orthonormal(sphere_rule):
 def test_neumann_columns_radial_homogeneity(sphere_rule):
     # on the unit sphere the normal is radial: n.grad h_lm = -(l+1) Y_lm
     problem = system(sphere_rule, 1, np.zeros(sphere_rule.n_nodes), lsq.NEUMANN)
-    (Y,) = H.ylm(1, sphere_rule.theta, sphere_rule.phi)
+    Y = H.ylm(1, sphere_rule.theta, sphere_rule.phi)
     sw = np.sqrt(sphere_rule.weights)
     ells = H.degrees(1)
     expected = -(ells[None, :] + 1) * Y * sw[:, None]
@@ -56,7 +56,7 @@ def test_node_count_mismatch(sphere_rule):
 
 
 def test_projection_onto_orthonormal_column(sphere_rule):
-    (Y,) = H.ylm(2, sphere_rule.theta, sphere_rule.phi)
+    Y = H.ylm(2, sphere_rule.theta, sphere_rule.phi)
     f = Y[:, H.flatten(1, 0)]
     sol = lsq.solve(system(sphere_rule, 2, f))
     expected = np.zeros(9)
@@ -252,12 +252,12 @@ def test_nan_entry_is_solver_error_on_both_routes(shape):
         lsq.solve(problem)
 
 
-def test_extend_refuses_a_degree_below_the_current_one_or_above_ELL_MAX(sphere_rule):
-    # the system draws its degree blocks up to ELL_MAX: no top degree to pass, or to pass too low
+def test_extend_refuses_a_degree_below_the_current_one_or_above_the_rules(sphere_rule):
+    # the system reserves its table for the degrees the rule resolves: none above them, or too low
     grown = lsq.GrowingSystem(sphere_rule, np.zeros(sphere_rule.n_nodes), lsq.NEUMANN, 0.0)
     assert grown.extend(3).blocks[0].matrix.shape[1] == 16
     assert grown.extend(6).blocks[0].matrix.shape[1] == 49
-    for L in (5, H.ELL_MAX + 1):
+    for L in (5, G.max_degree(sphere_rule.n_theta, sphere_rule.n_phi) + 1, H.ELL_MAX + 1):
         with pytest.raises(ValueError, match="outside"):
             grown.extend(L)
     problem = grown.extend(6)  # the same degree again is the same system
