@@ -140,11 +140,14 @@ def run_mrc_grid(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule, data
     The data share bc, sigma and whether they have an oracle. If geometry.max_degree of the rule is
     below L_max, the rule is refined (and the data resampled via its oracle); tabulated data instead
     caps L_max at it, a ConfigError if that is below L_start (a RunConfig checks this at load).
-    Either adjustment is recorded in the report as rule_refined. A rule built about another
-    center than spec's is a ValueError, a data vector with an infinite L2(S) norm a ConfigError,
-    a surface whose inscribed radius to the power L_max + 2 underflows a GeometryError."""
+    Either adjustment is recorded in the report as rule_refined. Data that differ in bc, sigma or
+    having an oracle, or a rule built about another center than spec's, are a ValueError, a data
+    vector with an infinite L2(S) norm a ConfigError, a surface whose inscribed radius to the power
+    L_max + 2 underflows a GeometryError."""
     if rule.center != spec.center:
         raise ValueError(f"the rule is built about {rule.center}, the surface about {spec.center}")
+    if len({(d.bc, d.sigma, d.oracle is None) for d in data}) > 1:
+        raise ValueError("the data of one grid must share bc, sigma and whether they have an oracle")
     refined = geometry.max_degree(rule.n_theta, rule.n_phi) < cfg.L_max
     if refined and data[0].oracle is not None:
         rule = geometry.auto_quadrature(spec, cfg.L_max)

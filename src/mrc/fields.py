@@ -23,6 +23,9 @@ from .errors import ConfigError, require_number, require_point
 from .lsq import BC_KINDS, DIRICHLET, NEUMANN, bc_trace
 
 
+EVAL_CHUNK = 2048  # points per harmonics.eval_h table in ExteriorField.__call__: at L = 40, 28 MB a table
+
+
 @dataclass(frozen=True)
 class ExteriorField:
     """Truncated exterior-harmonic expansion about `center`.
@@ -55,7 +58,10 @@ class ExteriorField:
 
     def __call__(self, x) -> np.ndarray | float:
         pts, single = self._exterior_points(x)
-        v = harmonics.eval_h(self.ell_max, pts, self.center) @ self.coefficients
+        v = np.empty(pts.shape[0])
+        for i in range(0, pts.shape[0], EVAL_CHUNK):
+            h = harmonics.eval_h(self.ell_max, pts[i : i + EVAL_CHUNK], self.center)
+            v[i : i + EVAL_CHUNK] = h @ self.coefficients
         return float(v[0]) if single else v
 
 
@@ -156,9 +162,13 @@ def error_on_enclosing_sphere(field: ExteriorField, oracle, R: float) -> SphereE
 
 
 def errors_on_enclosing_sphere(fields: list[ExteriorField], oracles: list, R: float) -> list[SphereError]:
-    """The error of each field against its oracle on |x-c| = R. The fields share center and radii;
-    their values on the sphere rule's grid come from one synthesis (harmonics.sphere_grid_values)."""
-    center, r_max = fields[0].center, fields[0].r_max
+    """The error of each field against its oracle on |x-c| = R. The fields share their center and R encloses
+    each field's surface, else a ValueError; their values on the sphere rule's grid come from one synthesis
+    (harmonics.sphere_grid_values)."""
+    centers, r_max = {tuple(f.center) for f in fields}, max(f.r_max for f in fields)
+    if len(centers) > 1:
+        raise ValueError(f"the fields are expanded about different centers {sorted(centers)}")
+    center = fields[0].center
     if not (r_max <= R and R * R < math.inf):  # the weights grow as R^2
         raise ValueError(f"sphere radius {R} does not enclose the surface (r_max={r_max}) or has an infinite square")
     n_theta, n_phi = ERROR_SPHERE_RULE

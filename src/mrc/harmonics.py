@@ -49,9 +49,9 @@ def degrees(ell_max: int) -> np.ndarray:
     return np.repeat(np.arange(ell_max + 1), 2 * np.arange(ell_max + 1) + 1)
 
 
-def _legendre(ell_max: int, theta: np.ndarray):
-    """Yield (l, P[l, m], P[l-1, m]) for the degrees l = 0..ell_max in turn, for
-    m = 0..l (so P[l-1, l] = 0), each P of shape theta.shape + (l+1,).
+def _legendre(ell_max: int, theta: np.ndarray, derivatives: bool = False):
+    """An iterator of (l, P[l, m], dP[l, m]/dtheta) for the degrees l = 0..ell_max in turn, m = 0..l,
+    each of shape theta.shape + (l+1,): the theta-factors of the harmonics.
 
     The fully normalized recurrence
 
@@ -60,25 +60,33 @@ def _legendre(ell_max: int, theta: np.ndarray):
 
     runs over all orders m of a degree at once and keeps only the last two
     degrees. The sphere normalization, with its 1/sqrt(4*pi), sits in
-    a[m, m], so the real harmonics built from P are orthonormal.
+    a[m, m], so the real harmonics built from P are orthonormal. The derivative
+    is formed from the P[l-1, m] the recurrence holds; it is None unless requested, and refused
+    at the call at a pole (sin(theta) = 0), where its 1/sin(theta) is not finite. Gauss nodes never lie there.
     """
     x, s = np.cos(theta)[..., None], np.sin(theta)
-    p1 = np.empty(theta.shape + (0,))  # P[l-1, m], m = 0..l-1
-    p2 = np.empty(theta.shape + (0,))  # P[l-2, m], m = 0..l-2, and a zero column
-    amm = 1.0
-    for ell in range(ell_max + 1):
-        m = np.arange(ell + 1)
-        k = m[:-2]  # the orders that have a P[l-2, m]
-        if ell > 0:
-            amm *= (2 * ell + 1) / (2 * ell)
-        a = np.sqrt((4 * ell * ell - 1) / (ell * ell - m[:-1] ** 2))
-        b = np.zeros(ell)
-        b[: ell - 1] = -np.sqrt((2 * ell + 1) * ((ell - 1) ** 2 - k * k) / ((2 * ell - 3) * (ell * ell - k * k)))
-        p = np.empty(theta.shape + (ell + 1,))
-        p[..., :ell] = a * x * p1 + b * p2
-        p[..., ell] = math.sqrt(amm / (4.0 * math.pi)) * s**ell
-        p1, p2 = p, np.concatenate([p1, np.zeros(theta.shape + (1,))], axis=-1)
-        yield ell, p, p2
+    if derivatives and np.any(np.abs(s) < 1e-13):
+        raise ValueError("angular derivatives are singular at the poles")
+    def lines():
+        p1 = np.empty(theta.shape + (0,))  # P[l-1, m], m = 0..l-1
+        p2 = np.empty(theta.shape + (0,))  # P[l-2, m], m = 0..l-2, and a zero column
+        amm = 1.0
+        for ell in range(ell_max + 1):
+            m = np.arange(ell + 1)
+            k = m[:-2]  # the orders that have a P[l-2, m]
+            if ell > 0:
+                amm *= (2 * ell + 1) / (2 * ell)
+            a = np.sqrt((4 * ell * ell - 1) / (ell * ell - m[:-1] ** 2))
+            b = np.zeros(ell)
+            b[: ell - 1] = -np.sqrt((2 * ell + 1) * ((ell - 1) ** 2 - k * k) / ((2 * ell - 3) * (ell * ell - k * k)))
+            p = np.empty(theta.shape + (ell + 1,))
+            p[..., :ell] = a * x * p1 + b * p2
+            p[..., ell] = math.sqrt(amm / (4.0 * math.pi)) * s**ell
+            p1, p2 = p, np.concatenate([p1, np.zeros(theta.shape + (1,))], axis=-1)  # p2 is now P[l-1, m], m = 0..l
+            if derivatives:  # dP/dtheta = (l*x*P[l,m] - c[l,m]*P[l-1,m]) / sin(theta)
+                c = np.sqrt((2 * ell + 1) / (2 * ell - 1) * (ell * ell - m**2)) if ell > 0 else np.zeros(1)
+            yield ell, p, (ell * x * p - c * p2) / s[..., None] if derivatives else None
+    return lines()
 
 
 def azimuthal(ell_max: int, phi: np.ndarray) -> np.ndarray:
@@ -110,37 +118,18 @@ def azimuthal_coefficients(values: np.ndarray, ell_max: int) -> np.ndarray:
     return out
 
 
-def _legendre_lines(ell_max: int, theta: np.ndarray, derivatives: bool = False):
-    """An iterator of (l, P[l, m], dP[l, m]/dtheta) for the degrees l = 0..ell_max in turn, m = 0..l,
-    each of shape theta.shape + (l+1,): the theta-factors of the harmonics. The derivative is None
-    unless requested. It is refused at a pole (sin(theta) = 0), where its 1/sin(theta) factor is
-    not finite; Gauss nodes never lie there.
-    """
-    s = np.sin(theta)
-    if derivatives and np.any(np.abs(s) < 1e-13):
-        raise ValueError("angular derivatives are singular at the poles")
-    x = np.cos(theta)[..., None]
-    def line(ell: int, p: np.ndarray, p_prev: np.ndarray) -> tuple:
-        if not derivatives:
-            return ell, p, None
-        # dP/dtheta = (l*x*P[l,m] - c[l,m]*P[l-1,m]) / sin(theta)
-        c = np.sqrt((2 * ell + 1) / (2 * ell - 1) * (ell * ell - np.arange(ell + 1) ** 2)) if ell > 0 else np.zeros(1)
-        return ell, p, (ell * x * p - c * p_prev) / s[..., None]
-    return itertools.starmap(line, _legendre(ell_max, theta))  # unlike a generator, starmap holds no drawn block
-
-
 def _legendre_blocks(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivatives: bool = False):
     """An iterator of (Y, dY/dtheta, dY/dphi) for the degrees l = 0..ell_max in turn.
 
     theta and phi broadcast: equal-length arrays give scattered points, a
     column of theta-lines against a row of phi-lines their theta-major grid.
-    The recurrence runs on theta (_legendre_lines) and the sines and cosines
+    The recurrence runs on theta (_legendre) and the sines and cosines
     on phi; a point's value is the product of the two either way, so a grid
     node gets the bits of its angles given point by point. Block l has shape
     (n_points, 2l+1) in flat order; the derivatives are None unless requested,
     and refused at a pole.
     """
-    lines = _legendre_lines(ell_max, theta, derivatives)
+    lines = _legendre(ell_max, theta, derivatives)
     az = azimuthal(ell_max, phi)
     def block(ell: int, p: np.ndarray, dp: np.ndarray | None) -> tuple:
         m = np.arange(-ell, ell + 1)
@@ -156,30 +145,6 @@ def _legendre_blocks(ell_max: int, theta: np.ndarray, phi: np.ndarray, derivativ
         dYdp[:, ell] = 0.0
         return Y, dYdt, dYdp
     return itertools.starmap(block, lines)
-
-
-def ylm(ell_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Evaluate all Y_lm with l <= ell_max at angles (theta, phi): shape
-    (n_points, (ell_max+1)^2) in flat index order."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    return np.concatenate([Y for Y, _, _ in _legendre_blocks(ell_max, theta, phi)], axis=1)
-
-
-def _gradient_block(ell: int, blocks: tuple, r: np.ndarray, frame: tuple) -> tuple[np.ndarray, ...]:
-    """The x, y and z components, each (n, 2l+1), of the Cartesian gradients of the degree-l exterior harmonics.
-
-    Spherical components about the center: radial -(l+1)*Y/r^(l+2), polar
-    (dY/dtheta)/r^(l+2), azimuthal (dY/dphi)/(sin(theta)*r^(l+2)).
-    """
-    Y, dYdt, dYdp = blocks
-    s, rhat, that, phat = frame
-    with np.errstate(over="ignore"):  # far out r^(l+2) is inf, and the gradient 0
-        rpow = r[:, None] ** (ell + 2)
-    rad = -(ell + 1) * Y / rpow
-    pol = dYdt / rpow
-    azi = dYdp / (s[:, None] * rpow)
-    return tuple(rad * rhat[:, j, None] + pol * that[:, j, None] + azi * phat[:, j, None] for j in range(3))
 
 
 def _angles_of(x, center=(0.0, 0.0, 0.0)) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
@@ -199,7 +164,7 @@ def eval_Y(ell_max: int, alpha) -> np.ndarray:
     single, norms, theta, phi = _angles_of(alpha)
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise ValueError("alpha must be a unit vector (|alpha| = 1 to 1e-12)")
-    Y = ylm(ell_max, theta, phi)
+    Y = np.concatenate([block for block, _, _ in _legendre_blocks(ell_max, theta, phi)], axis=1)
     return Y[0] if single else Y
 
 
@@ -223,15 +188,20 @@ def node_blocks(ell_max: int, rule, gradients: bool = False):
     one batch at a time keeps the iterator; each block is built when drawn, and held by the caller only.
     """
     r = np.linalg.norm(rule.points - np.asarray(rule.center), axis=1)
-    frame = spherical_frame(rule.theta, rule.phi) if gradients else None
+    if gradients:
+        s, rhat, that, phat = spherical_frame(rule.theta, rule.phi)
     nx, ny, nz = rule.normals.T[:, :, None]
     def block(ell: int, blocks: tuple) -> tuple:
-        with np.errstate(over="ignore"):  # far out r^(l+1) is inf, and h 0
+        Y, dYdt, dYdp = blocks
+        with np.errstate(over="ignore"):  # far out r^(l+1) and r^(l+2) are inf, and h and its gradient 0
             rpow = r[:, None] ** (ell + 1)
-        h = blocks[0] / rpow
+            gpow = r[:, None] ** (ell + 2) if gradients else None
+        h = Y / rpow
         if not gradients:
             return h, None
-        gx, gy, gz = _gradient_block(ell, blocks, r, frame)
+        # grad h: radial -(l+1)*Y/r^(l+2), polar (dY/dtheta)/r^(l+2), azimuthal (dY/dphi)/(sin(theta)*r^(l+2))
+        rad, pol, azi = -(ell + 1) * Y / gpow, dYdt / gpow, dYdp / (s[:, None] * gpow)
+        gx, gy, gz = (rad * rhat[:, j, None] + pol * that[:, j, None] + azi * phat[:, j, None] for j in range(3))
         return h, (nx * gx + nz * gz) + ny * gy  # einsum's order: bit-equal to einsum over the stacked gradient
     return map(block, range(ell_max + 1), _legendre_blocks(ell_max, rule.theta_line[:, None], rule.phi_line, gradients))
 
@@ -254,7 +224,7 @@ def line_blocks(ell_max: int, rule, gradients: bool = False):
     def block(ell: int, p: np.ndarray, dp: np.ndarray | None) -> tuple:
         with np.errstate(over="ignore"):  # far out r^(l+1) and r^(l+2) are inf, and the factors 0
             return p / r ** (ell + 1), (n_r * (-(ell + 1) * p) + n_t * dp) / r ** (ell + 2) if gradients else None
-    return itertools.starmap(block, _legendre_lines(ell_max, rule.theta_line, gradients))
+    return itertools.starmap(block, _legendre(ell_max, rule.theta_line, gradients))
 
 
 def sphere_grid_values(coefficients: list[np.ndarray], radius: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -67,7 +67,7 @@ def test_criterion_1_orthonormality():
     t0 = time.perf_counter()
     L = 20
     rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0), L + 1, 2 * L + 1)
-    Y = H.ylm(L, rule.theta, rule.phi)
+    Y = H.eval_Y(L, rule.points)
     gram = (Y * rule.weights[:, None]).T @ Y
     err = float(np.max(np.abs(gram - np.eye(H.n_terms(L)))))
     elapsed = time.perf_counter() - t0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -340,3 +341,16 @@ def test_only_declared_surfaces_of_revolution_split_by_order(monkeypatch, spec, 
     report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-6, L_max=8))
     assert report.termination == D.CONVERGED
     assert solved == [h.L + 1 if system is lsq.OrderSystem else 1 for h in report.history]
+
+
+@pytest.mark.parametrize("second", [
+    dict(bc=lsq.NEUMANN), dict(bc=lsq.ROBIN, sigma=0.5), dict(oracle=None)], ids=["bc", "sigma", "oracle"])
+def test_grid_refuses_data_of_different_kinds(second):
+    # the system takes bc and sigma from data[0]: a Dirichlet + Neumann pair was fitted as two Dirichlet
+    # vectors, and the Neumann report read converged at L = 17, its coefficients up to 7.09 off run_mrc's
+    spec = G.SurfaceSpec.sphere(1.0)
+    rule = G.build_quadrature(spec, 22, 42)
+    first = F.boundary_data_from_oracle(rule, F.PointSource([0.3, 0.0, 0.0]), lsq.ROBIN, 1.0)
+    data = [first, dataclasses.replace(first, **second)]
+    with pytest.raises(ValueError, match="must share bc, sigma"):
+        D.run_mrc_grid(spec, rule, data, D.MrcConfig(epsilon=1e-8), [1e-8])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def test_multipole_validated_against_projection():
     L = 10
     rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0), 40, 80)
     f = 1.0 / np.linalg.norm(rule.points - z, axis=1)
-    Y = H.ylm(L, rule.theta, rule.phi)
+    Y = H.eval_Y(L, rule.points)
     projection = (Y * rule.weights[:, None]).T @ f  # h_lm = Y_lm on the unit sphere
     assert np.max(np.abs(F.multipole_coefficients(z, 1.0, L) - projection)) <= 1e-10
 
@@ -56,7 +57,7 @@ def test_multipole_off_axis_source():
     L = 8
     rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0), 40, 80)
     f = 2.5 / np.linalg.norm(rule.points - z, axis=1)
-    Y = H.ylm(L, rule.theta, rule.phi)
+    Y = H.eval_Y(L, rule.points)
     projection = (Y * rule.weights[:, None]).T @ f
     assert np.max(np.abs(F.multipole_coefficients(z, 2.5, L) - projection)) <= 1e-10
 
@@ -126,6 +127,48 @@ def test_error_spheres_by_synthesis_match_direct_evaluation():
         d = field(rule.points) - oracle(rule.points)
         assert err.l2 == pytest.approx(np.sqrt(np.sum(rule.weights * d**2)), rel=1e-13)
         assert err.sup == pytest.approx(np.max(np.abs(d)), rel=1e-13)
+
+
+def test_error_spheres_of_fields_about_different_centers_refused():
+    # the batch placed every field's sphere about the first field's center: the field about (5, 0, 0),
+    # with an L2 error of 1.1e-15 alone, read 2.21 beside one about the origin
+    fields, oracles = [], []
+    for center in [(0.0, 0.0, 0.0), (5.0, 0.0, 0.0)]:
+        z = np.add(center, [0.3, 0.0, 0.0])
+        fields.append(make_field(F.multipole_coefficients(z, 1.0, 30, center), center=center))
+        oracles.append(F.PointSource(z))
+    assert F.error_on_enclosing_sphere(fields[1], oracles[1], 2.0).l2 <= 1e-13
+    with pytest.raises(ValueError, match="different centers"):
+        F.errors_on_enclosing_sphere(fields, oracles, 2.0)
+
+
+def test_error_spheres_check_every_fields_radius():
+    fields = [make_field([1.0], r_min=1.0, r_max=1.0), make_field([1.0], r_min=1.0, r_max=1.5)]
+    with pytest.raises(ValueError, match="does not enclose"):
+        F.errors_on_enclosing_sphere(fields, [F.PointSource([0, 0, 0])] * 2, 1.2)
+
+
+def test_field_evaluation_memory_is_bounded():
+    # one (n_points, (L+1)^2) table for all points: 20 000 points at L = 40 peaked at 335 MB
+    field = make_field(np.random.default_rng(5).normal(size=H.n_terms(40)))
+    d = np.random.default_rng(6).normal(size=(20_000, 3))
+    points = 2.0 * d / np.linalg.norm(d, axis=1)[:, None]
+    tracemalloc.start()
+    try:
+        field(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80e6
+    few = points[: 2 * F.EVAL_CHUNK + 100]  # two whole chunks and a part
+    table = H.eval_h(40, few)  # the unchunked table, whose rows each chunk's table must repeat bit for bit
+    chunks = [table[i : i + F.EVAL_CHUNK] @ field.coefficients for i in range(0, len(few), F.EVAL_CHUNK)]
+    values = field(few)
+    assert np.array_equal(values, np.concatenate(chunks))
+    # one product over all rows is bit-equal at one BLAS thread; with more, OpenBLAS takes the last rows of
+    # each thread's share by another kernel, and moves those of the product by an ulp
+    full = table @ field.coefficients
+    assert np.max(np.abs(values - full)) <= 4 * np.finfo(float).eps * np.max(np.abs(full))
 
 
 def test_non_square_coefficients_rejected_at_construction():

@@ -74,7 +74,7 @@ def test_non_unit_direction_rejected():
 def test_discrete_orthonormality_to_L20():
     L = 20
     rule = G.build_quadrature(G.SurfaceSpec.sphere(1.0), L + 1, 2 * L + 1)
-    Y = H.ylm(L, rule.theta, rule.phi)
+    Y = H.eval_Y(L, rule.points)
     gram = (Y * rule.weights[:, None]).T @ Y
     assert np.max(np.abs(gram - np.eye(H.n_terms(L)))) <= 1e-12
 
@@ -182,13 +182,18 @@ def test_grid_blocks_equal_scattered_blocks(gradients):
         assert all(x is y is None or np.array_equal(x, y) for x, y in zip(a, b))
     # node_blocks against the same quantities formed from the scattered blocks
     r = np.linalg.norm(rule.points - np.asarray(rule.center), axis=1)
-    frame = G.spherical_frame(rule.theta, rule.phi)
+    s, rhat, that, phat = G.spherical_frame(rule.theta, rule.phi)
     nodes = list(H.node_blocks(L, rule, gradients))
     assert len(nodes) == L + 1
-    for ell, ((h, dn), blocks) in enumerate(zip(nodes, scattered)):
-        assert np.array_equal(h, blocks[0] / r[:, None] ** (ell + 1))
+    for ell, ((h, dn), (Y, dYdt, dYdp)) in enumerate(zip(nodes, scattered)):
+        assert np.array_equal(h, Y / r[:, None] ** (ell + 1))
         if gradients:
-            grad = np.stack(H._gradient_block(ell, blocks, r, frame), axis=-1)
+            # the Cartesian gradient from its spherical components, radial -(l+1)*Y/r^(l+2),
+            # polar (dY/dtheta)/r^(l+2) and azimuthal (dY/dphi)/(sin(theta)*r^(l+2))
+            rpow = r[:, None] ** (ell + 2)
+            rad, pol, azi = -(ell + 1) * Y / rpow, dYdt / rpow, dYdp / (s[:, None] * rpow)
+            grad = np.stack([rad * rhat[:, j, None] + pol * that[:, j, None] + azi * phat[:, j, None]
+                             for j in range(3)], axis=-1)
             assert np.array_equal(dn, np.einsum("ij,ikj->ik", rule.normals, grad))
         else:
             assert dn is None

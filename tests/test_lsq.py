@@ -35,7 +35,7 @@ def test_dirichlet_columns_orthonormal(sphere_rule):
 def test_neumann_columns_radial_homogeneity(sphere_rule):
     # on the unit sphere the normal is radial: n.grad h_lm = -(l+1) Y_lm
     problem = system(sphere_rule, 1, np.zeros(sphere_rule.n_nodes), lsq.NEUMANN)
-    Y = H.ylm(1, sphere_rule.theta, sphere_rule.phi)
+    Y = H.eval_Y(1, sphere_rule.points)
     sw = np.sqrt(sphere_rule.weights)
     ells = H.degrees(1)
     expected = -(ells[None, :] + 1) * Y * sw[:, None]
@@ -56,7 +56,7 @@ def test_node_count_mismatch(sphere_rule):
 
 
 def test_projection_onto_orthonormal_column(sphere_rule):
-    Y = H.ylm(2, sphere_rule.theta, sphere_rule.phi)
+    Y = H.eval_Y(2, sphere_rule.points)
     f = Y[:, H.flatten(1, 0)]
     sol = lsq.solve(system(sphere_rule, 2, f))
     expected = np.zeros(9)
