@@ -7,7 +7,7 @@ ExteriorField) used to manufacture boundary data and measure true errors.
 The point-source convention is q/|x-z| with no 4*pi factor. The boundary
 trace of an ExteriorField at a rule's nodes is its coefficients applied to
 the design matrix's own columns (harmonics.node_blocks about the rule's
-center); a point source's comes from its closed-form value and gradient.
+center) degree by degree; a point source's is its closed-form value and gradient.
 """
 
 from __future__ import annotations
@@ -117,8 +117,9 @@ def _trace(fn, rule, bc: str, sigma: float) -> np.ndarray:
         if tuple(fn.center) != rule.center:
             raise ValueError(f"the field is expanded about {fn.center}, the rule built about {rule.center}")
         fn._exterior_points(rule.points)
-        columns = [bc_trace(bc, sigma, h, dn) for h, dn in harmonics.node_blocks(fn.ell_max, rule, bc != DIRICHLET)]
-        return np.concatenate(columns, axis=1) @ fn.coefficients
+        blocks = harmonics.node_blocks(fn.ell_max, rule, bc != DIRICHLET)  # one degree's columns at a time
+        return sum(bc_trace(bc, sigma, h, dn) @ fn.coefficients[ell * ell : (ell + 1) ** 2]
+                   for ell, (h, dn) in enumerate(blocks))
     values = fn(rule.points) if bc != NEUMANN else None
     normal = np.einsum("ij,ij->i", rule.normals, fn.gradient(rule.points)) if bc != DIRICHLET else None
     return bc_trace(bc, sigma, values, normal)

@@ -96,12 +96,9 @@ def azimuthal(ell_max: int, phi: np.ndarray) -> np.ndarray:
     Every evaluation calls this before the recurrence, so ell_max is checked here."""
     if not 0 <= ell_max <= ELL_MAX:
         raise ValueError(f"ell_max must be in [0, {ELL_MAX}], got {ell_max}")
-    az = np.empty(phi.shape + (2 * ell_max + 1,))
-    az[..., ell_max] = 1.0
-    for m in range(1, ell_max + 1):
-        az[..., ell_max + m] = _SQRT2 * np.cos(m * phi)
-        az[..., ell_max - m] = _SQRT2 * np.sin(m * phi)
-    return az
+    m_phi = np.multiply.outer(phi, np.arange(1, ell_max + 1))
+    return np.concatenate([_SQRT2 * np.sin(m_phi[..., ::-1]), np.ones(phi.shape + (1,)), _SQRT2 * np.cos(m_phi)],
+                          axis=-1)
 
 
 def azimuthal_coefficients(values: np.ndarray, ell_max: int) -> np.ndarray:

@@ -8,8 +8,9 @@ surfaces. A is first reduced by a Householder QR and the SVD taken of its
 R, so A's m x n left factor is never built. A is stored column-major:
 numpy's raw QR returns the transpose of a copy in A's layout, so each
 stored reflector is a contiguous row. One factorisation serves every
-right-hand side, each fitted by its own reflections and matrix-vector
-products, so a fit is the same to the last bit alone or among others.
+data vector, each fitted by its own reflections and products, so its fit
+is the same to the last bit alone or among others; a data vector's copies
+(below) are the columns of one right-hand side, fitted together.
 The retained singular values are a prefix (they come sorted): the
 factors are sliced, not copied.
 
@@ -188,20 +189,20 @@ class OrderSystem:
         def residuals(i, c):
             lines = np.empty((len(self._sqrt_w), 2 * L + 1))  # the fit's theta-line factor of each order
             for F, ms, block in zip(factors, orders, blocks):
-                for m, columns in zip(ms, block.columns):
-                    lines[:, L + m] = F @ c[columns]
+                lines[:, [L + m for m in ms]] = F @ c[block.columns].T
             misfit = lines @ az.T - self._values[i]
             return float(np.linalg.norm(misfit * self._sqrt_w[:, None])), float(np.max(np.abs(misfit)))
         return LsqProblem(tuple(blocks), residuals, self._single)
 
 
 def _householder_qtb(h, tau, rhs):
-    """The first min(m, n) entries of Q^T rhs, for (h, tau) = np.linalg.qr(A, mode="raw")."""
+    """The first min(m, n) rows of Q^T rhs, for (h, tau) = np.linalg.qr(A, mode="raw") and rhs of
+    shape (m,) or (m, n_vectors): each reflector is applied to every column at once."""
     y = rhs.copy()
     for k, t in enumerate(tau):  # reflector k is I - t v v^T, v = (1, h[k, k+1:]), on y[k:]
         d = t * (y[k] + h[k, k + 1:] @ y[k + 1:])
         y[k] -= d
-        y[k + 1:] -= d * h[k, k + 1:]
+        y[k + 1:] -= np.multiply.outer(h[k, k + 1:], d)
     return y[:len(tau)]
 
 
@@ -212,9 +213,9 @@ def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
     Singular values below svd_rtol * sigma_max of all blocks are discarded; the solution is the
     minimum-norm minimizer over the retained subspace. Rank and condition number are those of
     the union of the blocks' singular values, each block counted once per copy: the singular
-    values of the whole system. Each right-hand side is fitted on its own, and both residuals
-    are recomputed by the problem from the returned coefficients. A LAPACK failure is raised as
-    SolverError. The factors die with the call: only the fits are returned.
+    values of the whole system. Each data vector is fitted on its own, a block's copies in one
+    pass, and both residuals are recomputed by the problem from the returned coefficients. A
+    LAPACK failure is raised as SolverError. The factors die with the call: only the fits are returned.
     """
     if sum(block.matrix.size for block in problem.blocks) == 0:
         raise SolverError("empty system")
@@ -241,8 +242,8 @@ def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
     for i in range(len(problem.blocks[0].rhs)):
         c = np.zeros(sum(block.columns.size for block in problem.blocks))
         for block, (h, tau, U, svals, Vt) in zip(problem.blocks, kept):
-            for rhs, columns in zip(block.rhs[i], block.columns):  # each data vector and copy fitted as if alone
-                c[columns] = Vt.T @ ((U.T @ _householder_qtb(h, tau, rhs)) / svals)
+            qtb = _householder_qtb(h, tau, block.rhs[i].T)
+            c[block.columns] = (Vt.T @ ((U.T @ qtb) / svals[:, None])).T
         fits.append((c, *problem.residuals(i, c)))
     c, residual, sup = fits[0] if problem.single else map(np.array, zip(*fits))
     return LsqSolution(coefficients=c, residual_l2=residual, sup_residual=sup, rank=rank,

@@ -171,6 +171,23 @@ def test_field_evaluation_memory_is_bounded():
     assert np.max(np.abs(values - full)) <= 4 * np.finfo(float).eps * np.max(np.abs(full))
 
 
+def test_field_trace_memory_is_bounded():
+    # the trace is summed degree by degree: the whole (n_nodes, (L+1)^2) table of a degree-40 field on a
+    # 42 x 82 rule peaked at 93 MB
+    rule = G.build_quadrature(G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), 42, 82)
+    field = F.BandLimited(np.random.default_rng(8).normal(size=H.n_terms(40)))
+    tracemalloc.start()
+    try:
+        values = F.boundary_data_from_oracle(rule, field).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30e6
+    table = np.concatenate([h for h, _ in H.node_blocks(40, rule)], axis=1)
+    full = table @ field.coefficients
+    assert np.max(np.abs(values - full)) <= 1e-12 * np.max(np.abs(full))
+
+
 def test_non_square_coefficients_rejected_at_construction():
     with pytest.raises(ValueError):
         F.ExteriorField((0.0, 0.0, 0.0), np.ones(5), 1.0, 1.0)

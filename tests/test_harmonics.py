@@ -219,6 +219,21 @@ def test_far_evaluation_is_finite_and_silent(evaluate):
         assert np.all(values[:, H.n_terms(1):] == 0.0)
 
 
+def test_azimuthal_equals_the_per_order_table_bit_for_bit():
+    # one outer product of phi and the orders gives the bits of m * phi taken order by order
+    rng = np.random.default_rng(4)
+    for shape in ((), (82,), (130,), (7, 3), (2048,)):
+        phi = rng.uniform(0.0, 2.0 * np.pi, shape)
+        for L in (0, 1, 5, 40, 64):
+            table = np.empty(shape + (2 * L + 1,))
+            table[..., L] = 1.0
+            for m in range(1, L + 1):
+                table[..., L + m] = math.sqrt(2.0) * np.cos(m * phi)
+                table[..., L - m] = math.sqrt(2.0) * np.sin(m * phi)
+            az = H.azimuthal(L, phi)
+            assert az.shape == table.shape and az.tobytes() == table.tobytes()
+
+
 def test_azimuthal_coefficients_take_the_grid_angles_exactly():
     # values @ azimuthal / n_phi, by a real FFT: the table's cos(m * phi) carries the rounding of
     # m * phi, 3.5e-15 here, which an order-split solve would see as a floor of about 1.5e-14

@@ -230,6 +230,19 @@ def test_many_right_hand_sides_fit_as_if_alone(sphere_rule):
             assert together.sup_residual[i] == alone.sup_residual
 
 
+def test_order_blocks_reflect_each_data_vector_once(sphere_rule, monkeypatch):
+    # a block's copies m = k and m = -k are the columns of one right-hand side: one pass of its
+    # reflectors per block and data vector, not one per copy
+    calls = []
+    qtb = lsq._householder_qtb
+    monkeypatch.setattr(lsq, "_householder_qtb", lambda h, tau, rhs: calls.append(rhs.shape) or qtb(h, tau, rhs))
+    values = np.stack([F.PointSource(z)(sphere_rule.points) for z in ([0.3, 0.0, 0.0], [0.0, -0.2, 0.25])])
+    L = 7
+    lsq.solve(lsq.OrderSystem(sphere_rule, values, lsq.DIRICHLET, 0.0).extend(L))
+    assert len(calls) == 2 * (L + 1)
+    assert sorted(shape[1] for shape in calls) == [1, 1] + [2] * (2 * L)
+
+
 def test_square_system_solves_without_warning():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(12, 12)) + 12 * np.eye(12)
