@@ -5,13 +5,13 @@ The basis columns are nested by degree, so the weighted design matrix is
 tabulated once per run and grown as L rises: each step builds only the
 columns of its new degrees, solves the system for degrees 0..L by a
 Householder QR and a truncated SVD of its R (lsq.solve), and adds a row to
-one table: the DegreeRecord of every data vector, and the fit. On a
-surface the spec declares axisymmetric (sphere, spheroid) the system is
-grown as lsq.OrderSystem, one small block per azimuthal order, and the
-n_nodes x (L+1)^2 matrix of lsq.GrowingSystem is never built; one
-lsq.solve body factors the blocks of either. One rule, stop, ends a
-vector's history at an epsilon: at the first row <= epsilon (converged);
-else after stagnation_patience steps in a row, each above
+one table: the DegreeRecord of every data vector, and the fit; every row
+keeps its fit. On a surface the spec declares axisymmetric (sphere,
+spheroid) the system is grown as lsq.OrderSystem, one small block per
+azimuthal order, and the n_nodes x (L+1)^2 matrix of lsq.GrowingSystem is
+never built; one lsq.solve body factors the blocks of either. One rule,
+stop, ends a vector's history at an epsilon: at the first row <= epsilon
+(converged); else after stagnation_patience steps in a row, each above
 stagnation_factor x the step before (stagnated); else where it runs out:
 at L_max or, if LAPACK fails part-way, as stagnated. A stagnated run
 reports its last fit, not its best: near the round-off floor the residual
@@ -166,8 +166,7 @@ def run_mrc_grid(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule, data
     if r_min < np.finfo(float).tiny ** (1.0 / (L_max + 2)):  # r_min^(L_max+2), a column's divisor, underflows
         raise GeometryError(f"the surface is too small: its inscribed radius {r_min} to the power L_max + 2 = "
                             f"{L_max + 2} underflows (fitting in the surface's own unit of length is ROADMAP item 8)")
-    # one row per degree, [records, fit]; a fit is kept while its row is the last or some stop ends there
-    table, ran_out = [], L_MAX_REACHED
+    table, ran_out = [], L_MAX_REACHED  # one row per degree, (records, fits): every row is kept whole
 
     def stop_at(i: int, epsilon: float) -> tuple[int, str | None]:
         return stop([records[i].residual_l2 for records, _ in table], epsilon, cfg)
@@ -179,11 +178,9 @@ def run_mrc_grid(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule, data
         except SolverError:
             ran_out = STAGNATED
             break
-        table.append([tuple(DegreeRecord(L, r, r / f if f > 0 else 0.0, sup, sol.rank, sol.cond_estimate)
+        table.append((tuple(DegreeRecord(L, r, r / f if f > 0 else 0.0, sup, sol.rank, sol.cond_estimate)
                             for r, sup, f in zip(sol.residual_l2.tolist(), sol.sup_residual.tolist(), f_norms)),
-                      sol.coefficients])
-        if len(table) > 1 and len(table) - 1 not in {stop_at(i, e)[0] for i in range(len(data)) for e in epsilons}:
-            table[-2][1] = None
+                      sol.coefficients))
     if not table:
         raise SolverError("adaptive loop terminated before completing a single solve")
 

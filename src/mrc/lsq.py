@@ -9,10 +9,10 @@ R, so A's m x n left factor is never built. A is stored column-major:
 numpy's raw QR returns the transpose of a copy in A's layout, so each
 stored reflector is a contiguous row. One factorisation serves every
 data vector, each fitted by its own reflections and products, so its fit
-is the same to the last bit alone or among others; a data vector's copies
-(below) are the columns of one right-hand side, fitted together.
-The retained singular values are a prefix (they come sorted): the
-factors are sliced, not copied.
+is the same to the last bit alone or among others; a block holds a data
+vector's copies (below) as the columns of one right-hand side, the layout
+the reflectors act on, so no right-hand side or fit is transposed. The
+retained singular values are a sorted prefix: the factors are sliced.
 
 Every system is a tuple of blocks, solved by one body: a GrowingSystem
 is one block, the whole matrix. On a surface of revolution the system is
@@ -44,11 +44,11 @@ SVD_RTOL = 1e-12  # default relative truncation of the singular values
 
 @dataclass(frozen=True)
 class Block:
-    """One sqrt(w)-weighted matrix and the copies it serves: each copy is a set of columns of the system."""
+    """One sqrt(w)-weighted matrix and the copies it serves, in the reflectors' layout: one column per copy."""
 
     matrix: np.ndarray  # (n_rows, n_cols)
-    rhs: np.ndarray  # (n_data, n_copies, n_rows): each data vector's right-hand side of each copy
-    columns: np.ndarray  # (n_copies, n_cols): each copy's flat coefficient indices
+    rhs: np.ndarray  # (n_data, n_rows, n_copies): each data vector's right-hand side, one column per copy
+    columns: np.ndarray  # (n_cols, n_copies): each copy's flat coefficient indices, one column per copy
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ class LsqProblem:
         def residuals(i, c):
             misfit = matrix @ c - rows[i]
             return float(np.linalg.norm(misfit)), float(np.max(np.abs(misfit) / sqrt_w))
-        return cls((Block(matrix, rows[:, None], np.arange(matrix.shape[1])[None]),), residuals, np.ndim(rhs) == 1)
+        return cls((Block(matrix, rows[:, :, None], np.arange(matrix.shape[1])[:, None]),), residuals,
+                   np.ndim(rhs) == 1)
 
 
 @dataclass(frozen=True)
@@ -166,8 +167,7 @@ class OrderSystem:
         self._az = azimuthal(self._ell_cap, rule.phi_line)
         self._single = values.ndim == 1
         self._values = values.reshape((-1,) + weights.shape)
-        projections = azimuthal_coefficients(self._values, self._ell_cap)  # [i, theta-line, m]
-        self._rhs = np.moveaxis(self._scale[:, None] * projections, -1, -2)  # [i, m, theta-line]
+        self._rhs = self._scale[:, None] * azimuthal_coefficients(self._values, self._ell_cap)  # [i, theta-line, m]
         self._ell_max = -1
 
     def extend(self, ell_max: int) -> LsqProblem:
@@ -182,14 +182,14 @@ class OrderSystem:
         blocks = []
         for k, (F, ms) in enumerate(zip(factors, orders)):
             ells = np.arange(k, L + 1)
-            blocks.append(Block(self._scale[:, None] * F, self._rhs[:, [self._ell_cap + m for m in ms]],
-                                np.array([ells * ells + ells + m for m in ms])))
+            blocks.append(Block(self._scale[:, None] * F, self._rhs[:, :, [self._ell_cap + m for m in ms]],
+                                np.add.outer(ells * ells + ells, ms)))
         az = self._az[:, self._ell_cap - L : self._ell_cap + L + 1]
 
         def residuals(i, c):
             lines = np.empty((len(self._sqrt_w), 2 * L + 1))  # the fit's theta-line factor of each order
             for F, ms, block in zip(factors, orders, blocks):
-                lines[:, [L + m for m in ms]] = F @ c[block.columns].T
+                lines[:, [L + m for m in ms]] = F @ c[block.columns]
             misfit = lines @ az.T - self._values[i]
             return float(np.linalg.norm(misfit * self._sqrt_w[:, None])), float(np.max(np.abs(misfit)))
         return LsqProblem(tuple(blocks), residuals, self._single)
@@ -234,7 +234,7 @@ def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
     for h, tau, U, svals, Vt in factored:
         r = int(np.sum(svals >= svd_rtol * s_max)) if s_max > 0 else 0
         kept.append((h, tau, U[:, :r], svals[:r], Vt[:r]))
-    rank = sum(len(block.columns) * len(svals) for block, (_, _, _, svals, _) in zip(problem.blocks, kept))
+    rank = sum(block.columns.shape[1] * len(svals) for block, (_, _, _, svals, _) in zip(problem.blocks, kept))
     if rank == 0:
         raise SolverError("all singular values fall below the truncation threshold")
 
@@ -242,8 +242,8 @@ def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
     for i in range(len(problem.blocks[0].rhs)):
         c = np.zeros(sum(block.columns.size for block in problem.blocks))
         for block, (h, tau, U, svals, Vt) in zip(problem.blocks, kept):
-            qtb = _householder_qtb(h, tau, block.rhs[i].T)
-            c[block.columns] = (Vt.T @ ((U.T @ qtb) / svals[:, None])).T
+            qtb = _householder_qtb(h, tau, block.rhs[i])
+            c[block.columns] = Vt.T @ ((U.T @ qtb) / svals[:, None])
         fits.append((c, *problem.residuals(i, c)))
     c, residual, sup = fits[0] if problem.single else map(np.array, zip(*fits))
     return LsqSolution(coefficients=c, residual_l2=residual, sup_residual=sup, rank=rank,

@@ -122,7 +122,7 @@ def test_weighted_functional_matches_l2_norm(sphere_rule):
     problem = system(sphere_rule, 3, f)
     c = np.ones(H.n_terms(3))
     (block,) = problem.blocks
-    lhs = np.linalg.norm(block.matrix @ c - block.rhs[0, 0])
+    lhs = np.linalg.norm(block.matrix @ c - block.rhs[0, :, 0])
     rhs = np.sqrt(np.sum(sphere_rule.weights * (basis_values(sphere_rule, 3) @ c - f) ** 2))
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
@@ -169,7 +169,7 @@ def test_unknown_bc_kind_rejected(sphere_rule):
 def svd_reference(problem, svd_rtol=lsq.SVD_RTOL):
     """The truncated minimum-norm fit from a thin SVD of the whole of A, the
     route a tall solve replaces: (coefficients, rank, condition, residual)."""
-    A, b = problem.blocks[0].matrix, problem.blocks[0].rhs[0, 0]
+    A, b = problem.blocks[0].matrix, problem.blocks[0].rhs[0, :, 0]
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     k = int(np.sum(s >= svd_rtol * s[0]))
     c = Vt[:k].T @ ((U[:, :k].T @ b) / s[:k])
@@ -241,6 +241,31 @@ def test_order_blocks_reflect_each_data_vector_once(sphere_rule, monkeypatch):
     lsq.solve(lsq.OrderSystem(sphere_rule, values, lsq.DIRICHLET, 0.0).extend(L))
     assert len(calls) == 2 * (L + 1)
     assert sorted(shape[1] for shape in calls) == [1, 1] + [2] * (2 * L)
+
+
+def test_blocks_hold_right_hand_sides_and_columns_in_the_reflectors_layout(sphere_rule):
+    # rhs is (n_data, n_rows, n_copies) and columns (n_cols, n_copies): a data vector's block right-hand
+    # side is what the reflectors act on, and a block's fit fills c[columns] as it comes
+    n_theta, n_phi = sphere_rule.n_theta, sphere_rule.n_phi
+    values = np.stack([F.PointSource(z)(sphere_rule.points) for z in ([0.3, 0.0, 0.0], [0.0, -0.2, 0.25])])
+    (block,) = lsq.GrowingSystem(sphere_rule, values, lsq.DIRICHLET, 0.0).extend(3).blocks
+    assert block.rhs.shape == (2, sphere_rule.n_nodes, 1)
+    assert block.rhs[:, :, 0].tobytes() == (values * np.sqrt(sphere_rule.weights)).tobytes()
+    assert block.columns.shape == (16, 1)
+
+    L, cap = 4, min(G.max_degree(n_theta, n_phi), H.ELL_MAX)
+    w_line = sphere_rule.weights.reshape(n_theta, n_phi)[:, 0]
+    projections = H.azimuthal_coefficients(values.reshape(2, n_theta, n_phi), cap)
+    blocks = lsq.OrderSystem(sphere_rule, values, lsq.DIRICHLET, 0.0).extend(L).blocks
+    assert len(blocks) == L + 1
+    for k, block in enumerate(blocks):
+        ms = (k, -k) if k else (0,)
+        assert block.rhs.shape == (2, n_theta, len(ms)) and block.columns.shape == (L + 1 - k, len(ms))
+        for j, m in enumerate(ms):
+            assert block.columns[:, j].tolist() == [H.flatten(ell, m) for ell in range(k, L + 1)]
+            for i in range(2):
+                expected = np.sqrt(n_phi) * np.sqrt(w_line) * projections[i, :, cap + m]
+                assert block.rhs[i, :, j].tobytes() == expected.tobytes()
 
 
 def test_square_system_solves_without_warning():
