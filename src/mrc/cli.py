@@ -69,7 +69,8 @@ def run_cells(cells: list[RunConfig]) -> list:
                                    first.mrc, epsilons)
         by_cell = dict(zip(itertools.product(vectors, epsilons), itertools.chain.from_iterable(grid)))
         reports = [by_cell[key, cell.mrc.epsilon] for key, cell in zip(keys, cells)]
-        by_radius = [fields.errors_on_enclosing_sphere([r.field for r in reports], [cell.oracle for cell in cells], R)
+        oracles = [vectors[key].oracle for key in keys]  # one object per distinct data: evaluated once per sphere
+        by_radius = [fields.errors_on_enclosing_sphere([r.field for r in reports], oracles, R)
                      for R in first.field_radii]
     except CELL_ERRORS as exc:
         return [exc] if len(cells) == 1 else [outcome for cell in cells for outcome in run_cells([cell])]

@@ -165,7 +165,8 @@ def error_on_enclosing_sphere(field: ExteriorField, oracle, R: float) -> SphereE
 def errors_on_enclosing_sphere(fields: list[ExteriorField], oracles: list, R: float) -> list[SphereError]:
     """The error of each field against its oracle on |x-c| = R. The fields share their center and R encloses
     each field's surface, else a ValueError; their values on the sphere rule's grid come from one synthesis
-    (harmonics.sphere_grid_values)."""
+    (harmonics.sphere_grid_values), and each distinct oracle object is evaluated there once, however many
+    fields it serves."""
     centers, r_max = {tuple(f.center) for f in fields}, max(f.r_max for f in fields)
     if len(centers) > 1:
         raise ValueError(f"the fields are expanded about different centers {sorted(centers)}")
@@ -176,7 +177,8 @@ def errors_on_enclosing_sphere(fields: list[ExteriorField], oracles: list, R: fl
     theta, phi, weights = geometry.sphere_grid(n_theta, n_phi)
     points = np.asarray(center) + R * geometry.spherical_frame(theta, phi)[1]
     values = harmonics.sphere_grid_values([f.coefficients for f in fields], R, theta[::n_phi], phi[:n_phi])
-    diffs = (v - np.asarray(oracle(points), dtype=float) for v, oracle in zip(values, oracles))
+    exact = {key: np.asarray(oracle(points), dtype=float) for key, oracle in {id(o): o for o in oracles}.items()}
+    diffs = (v - exact[id(oracle)] for v, oracle in zip(values, oracles))
     weights = weights * (R * R)  # the sphere's Jacobian R * sqrt(R^2), which equals R^2 in binary floating point
     return [SphereError(l2=float(np.sqrt(np.sum(weights * d**2))), sup=float(np.max(np.abs(d)))) for d in diffs]
 

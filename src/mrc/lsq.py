@@ -8,11 +8,12 @@ surfaces. A is first reduced by a Householder QR and the SVD taken of its
 R, so A's m x n left factor is never built. A is stored column-major:
 numpy's raw QR returns the transpose of a copy in A's layout, so each
 stored reflector is a contiguous row. One factorisation serves every
-data vector, each fitted by its own reflections and products, so its fit
-is the same to the last bit alone or among others; a block holds a data
-vector's copies (below) as the columns of one right-hand side, the layout
-the reflectors act on, so no right-hand side or fit is transposed. The
-retained singular values are a sorted prefix: the factors are sliced.
+data vector; a block holds a data vector's copies (below) as the columns
+of one right-hand side, the layout the reflectors act on. One stacked
+pass reflects every data vector of all blocks with equal rows and copies,
+each data vector its own item of every product, so a fit is the same to
+the last bit alone or among others. The retained singular values are a
+sorted prefix: the factors are sliced.
 
 Every system is a tuple of blocks, solved by one body: a GrowingSystem
 is one block, the whole matrix. On a surface of revolution the system is
@@ -196,14 +197,16 @@ class OrderSystem:
 
 
 def _householder_qtb(h, tau, rhs):
-    """The first min(m, n) rows of Q^T rhs, for (h, tau) = np.linalg.qr(A, mode="raw") and rhs of
-    shape (m,) or (m, n_vectors): each reflector is applied to every column at once."""
+    """The first rows of Q^T rhs for a stack of blocks with equal row counts, (h[b], tau[b]) = np.linalg.qr(A_b,
+    mode="raw") zero-padded past each block's own reflectors (a zero tau and row leave the block's own rows as they
+    were), rhs (n_data, n_blocks, n_rows, n_copies): each step reflects every item, and an item's product is the
+    BLAS call of that item alone, so each Q^T b is bit-equal alone or stacked."""
     y = rhs.copy()
-    for k, t in enumerate(tau):  # reflector k is I - t v v^T, v = (1, h[k, k+1:]), on y[k:]
-        d = t * (y[k] + h[k, k + 1:] @ y[k + 1:])
-        y[k] -= d
-        y[k + 1:] -= np.multiply.outer(h[k, k + 1:], d)
-    return y[:len(tau)]
+    for k in range(tau.shape[1]):  # reflector k of block b is I - tau[b, k] v v^T, v = (1, h[b, k, k+1:]), on y[k:]
+        d = tau[:, k, None] * (y[..., k, :] + np.matmul(h[:, k : k + 1, k + 1 :], y[..., k + 1 :, :])[..., 0, :])
+        y[..., k, :] -= d
+        y[..., k + 1 :, :] -= h[:, k, k + 1 :, None] * d[..., None, :]
+    return y[..., : tau.shape[1], :]
 
 
 def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
@@ -213,38 +216,51 @@ def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
     Singular values below svd_rtol * sigma_max of all blocks are discarded; the solution is the
     minimum-norm minimizer over the retained subspace. Rank and condition number are those of
     the union of the blocks' singular values, each block counted once per copy: the singular
-    values of the whole system. Each data vector is fitted on its own, a block's copies in one
-    pass, and both residuals are recomputed by the problem from the returned coefficients. A
-    LAPACK failure is raised as SolverError. The factors die with the call: only the fits are returned.
+    values of the whole system. Every data vector and copy of a group of blocks with equal (rows,
+    copies) is reflected in one stacked pass, each data vector its own item of every product, so a
+    fit is bit-equal alone or among others; the reflectors die before the SVDs. Both residuals are
+    recomputed by the problem from the returned coefficients. A LAPACK failure is a SolverError.
     """
     if sum(block.matrix.size for block in problem.blocks) == 0:
         raise SolverError("empty system")
     try:
-        factored = []
+        factors = []
         for block in problem.blocks:
             m, n = block.matrix.shape
             if m < n:
                 warnings.warn(f"underdetermined system ({m} rows < {n} cols)", stacklevel=2)
-            h, tau = np.linalg.qr(block.matrix, mode="raw")
-            factored.append((h, tau, *np.linalg.svd(np.triu(h[:, :n].T))))
+            factors.append(np.linalg.qr(block.matrix, mode="raw"))
+        groups, qtbs = {}, {}  # block indices by (rows, copies); each block's Q^T b of every data vector
+        for b, block in enumerate(problem.blocks):
+            groups.setdefault(block.rhs.shape[1:], []).append(b)
+        for members in groups.values():
+            hs, taus = zip(*(factors[b] for b in members))
+            h, tau = hs[0][None], taus[0][None]  # a group of one block is reflected through a view
+            if len(members) > 1:  # zero-padded copies, to the group's largest reflector count
+                n = max(map(len, taus))
+                h, tau = np.zeros((len(members), n, h.shape[2])), np.zeros((len(members), n))
+                for j, (h_j, tau_j) in enumerate(zip(hs, taus)):
+                    h[j, : len(tau_j)], tau[j, : len(tau_j)] = h_j[: len(tau_j)], tau_j
+            y = _householder_qtb(h, tau, np.stack([problem.blocks[b].rhs for b in members], axis=1))
+            qtbs.update((b, y[:, j, : len(tau_j)]) for j, (b, tau_j) in enumerate(zip(members, taus)))
+        rs = [np.triu(h[:, : block.matrix.shape[1]].T) for block, (h, _) in zip(problem.blocks, factors)]
+        del factors, hs, h  # the reflectors die before the SVDs
+        factored = [np.linalg.svd(r) for r in rs]
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"SVD failed: {exc}") from exc
-    s_max = max(svals[0] for _, _, _, svals, _ in factored)
+    s_max = max(svals[0] for _, svals, _ in factored)
     kept = []  # each block's retained prefix: the singular values come sorted
-    for h, tau, U, svals, Vt in factored:
+    for U, svals, Vt in factored:
         r = int(np.sum(svals >= svd_rtol * s_max)) if s_max > 0 else 0
-        kept.append((h, tau, U[:, :r], svals[:r], Vt[:r]))
-    rank = sum(block.columns.shape[1] * len(svals) for block, (_, _, _, svals, _) in zip(problem.blocks, kept))
+        kept.append((U[:, :r], svals[:r], Vt[:r]))
+    rank = sum(block.columns.shape[1] * len(svals) for block, (_, svals, _) in zip(problem.blocks, kept))
     if rank == 0:
         raise SolverError("all singular values fall below the truncation threshold")
 
-    fits = []
-    for i in range(len(problem.blocks[0].rhs)):
-        c = np.zeros(sum(block.columns.size for block in problem.blocks))
-        for block, (h, tau, U, svals, Vt) in zip(problem.blocks, kept):
-            qtb = _householder_qtb(h, tau, block.rhs[i])
-            c[block.columns] = Vt.T @ ((U.T @ qtb) / svals[:, None])
-        fits.append((c, *problem.residuals(i, c)))
-    c, residual, sup = fits[0] if problem.single else map(np.array, zip(*fits))
-    return LsqSolution(coefficients=c, residual_l2=residual, sup_residual=sup, rank=rank,
-                       cond_estimate=float(s_max / min(svals[-1] for _, _, _, svals, _ in kept if len(svals))))
+    c = np.zeros((len(problem.blocks[0].rhs), sum(block.columns.size for block in problem.blocks)))
+    for b, (block, (U, svals, Vt)) in enumerate(zip(problem.blocks, kept)):
+        c[:, block.columns] = Vt.T @ ((U.T @ qtbs[b]) / svals[:, None])  # every data vector in one product
+    fits = [problem.residuals(i, c_i) for i, c_i in enumerate(c)]
+    residual, sup = fits[0] if problem.single else map(np.array, zip(*fits))
+    return LsqSolution(coefficients=c[0] if problem.single else c, residual_l2=residual, sup_residual=sup, rank=rank,
+                       cond_estimate=float(s_max / min(svals[-1] for _, svals, _ in kept if len(svals))))

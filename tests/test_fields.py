@@ -129,6 +129,25 @@ def test_error_spheres_by_synthesis_match_direct_evaluation():
         assert err.sup == pytest.approx(np.max(np.abs(d)), rel=1e-13)
 
 
+def test_error_spheres_evaluate_a_shared_oracle_once():
+    # cells with the same data share one oracle object: three fields against it read the oracle once,
+    # and each field's error is bit-equal to its own call
+    calls = []
+
+    class Counting(F.PointSource):
+        def __call__(self, x):
+            calls.append(len(x))
+            return super().__call__(x)
+
+    oracle = Counting([0.3, 0.0, 0.0])
+    fields = [make_field(F.multipole_coefficients(oracle.z, 1.0, L)) for L in (4, 9, 15)]
+    errors = F.errors_on_enclosing_sphere(fields, [oracle] * 3, 2.0)
+    assert len(calls) == 1
+    for field, err in zip(fields, errors):
+        alone = F.error_on_enclosing_sphere(field, oracle, 2.0)
+        assert (err.l2, err.sup) == (alone.l2, alone.sup)
+
+
 def test_error_spheres_of_fields_about_different_centers_refused():
     # the batch placed every field's sphere about the first field's center: the field about (5, 0, 0),
     # with an L2 error of 1.1e-15 alone, read 2.21 beside one about the origin

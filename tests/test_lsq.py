@@ -231,16 +231,65 @@ def test_many_right_hand_sides_fit_as_if_alone(sphere_rule):
 
 
 def test_order_blocks_reflect_each_data_vector_once(sphere_rule, monkeypatch):
-    # a block's copies m = k and m = -k are the columns of one right-hand side: one pass of its
-    # reflectors per block and data vector, not one per copy
+    # a block's copies m = k and m = -k are the columns of one right-hand side, and every data vector is an
+    # item of the stacked pass of its group: each is reflected once per group, not once per block or copy
     calls = []
     qtb = lsq._householder_qtb
     monkeypatch.setattr(lsq, "_householder_qtb", lambda h, tau, rhs: calls.append(rhs.shape) or qtb(h, tau, rhs))
     values = np.stack([F.PointSource(z)(sphere_rule.points) for z in ([0.3, 0.0, 0.0], [0.0, -0.2, 0.25])])
     L = 7
     lsq.solve(lsq.OrderSystem(sphere_rule, values, lsq.DIRICHLET, 0.0).extend(L))
-    assert len(calls) == 2 * (L + 1)
-    assert sorted(shape[1] for shape in calls) == [1, 1] + [2] * (2 * L)
+    assert calls == [(2, 1, sphere_rule.n_theta, 1), (2, L, sphere_rule.n_theta, 2)]
+
+
+def test_solve_reflects_once_per_group_of_blocks_with_equal_rows_and_copies(sphere_rule, monkeypatch):
+    # the whole matrix is one group of one block, whatever the number of data vectors; the order blocks are
+    # two groups, k = 0 with one copy and k >= 1 with two, not one call per block and data vector (16 at L = 7)
+    calls = []
+    qtb = lsq._householder_qtb
+    monkeypatch.setattr(lsq, "_householder_qtb", lambda h, tau, rhs: calls.append(h.shape) or qtb(h, tau, rhs))
+    sources = ([0.3, 0.0, 0.0], [0.0, -0.2, 0.25], [0.1, 0.1, -0.4])
+    values = np.stack([F.PointSource(z)(sphere_rule.points) for z in sources])
+    for data in (values[0], values):
+        calls.clear()
+        lsq.solve(lsq.GrowingSystem(sphere_rule, data, lsq.DIRICHLET, 0.0).extend(4))
+        assert calls == [(1, 25, sphere_rule.n_nodes)]
+    calls.clear()
+    lsq.solve(lsq.OrderSystem(sphere_rule, values[:2], lsq.DIRICHLET, 0.0).extend(7))
+    assert calls == [(1, 8, sphere_rule.n_theta), (7, 7, sphere_rule.n_theta)]
+
+
+def householder_qtb_alone(h, tau, rhs):
+    """Q^T rhs of one block and one data vector, rhs (n_rows, n_copies): the loop each stacked item must equal."""
+    y = rhs.copy()
+    for k, t in enumerate(tau):
+        d = t * (y[k] + h[k, k + 1:] @ y[k + 1:])
+        y[k] -= d
+        y[k + 1:] -= np.multiply.outer(h[k, k + 1:], d)
+    return y[:len(tau)]
+
+
+@pytest.mark.filterwarnings("ignore:underdetermined system")
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("shapes", [[(20, 3), (20, 15), (20, 8)], [(5, 8), (5, 2)]], ids=["tall", "wide"])
+def test_a_padded_stack_reflects_each_block_as_if_alone(shapes, copies):
+    # blocks with 3, 15 and 8 reflectors, and a wide 5 x 8 block (5 reflectors) beside a 5 x 2 one, zero-padded
+    # to the group's largest reflector count: each block's Q^T b of each of 3 data vectors is bit-equal to that
+    # block and data vector reflected alone. The blocks are column-major, as every system's are: a row-major
+    # block's reflectors are strided rows, which a BLAS dot rounds otherwise than the padded stack's contiguous copy
+    rng = np.random.default_rng(11)
+    factors = [np.linalg.qr(np.asfortranarray(rng.normal(size=shape)), mode="raw") for shape in shapes]
+    rhs = rng.normal(size=(3, len(shapes), shapes[0][0], copies))
+    n = max(len(tau) for _, tau in factors)
+    h, tau = np.zeros((len(shapes), n, shapes[0][0])), np.zeros((len(shapes), n))
+    for j, (h_j, tau_j) in enumerate(factors):
+        h[j, : len(tau_j)], tau[j, : len(tau_j)] = h_j[: len(tau_j)], tau_j
+    stacked = lsq._householder_qtb(h, tau, rhs)
+    assert stacked.shape == (3, len(shapes), n, copies)
+    for j, (h_j, tau_j) in enumerate(factors):
+        for i in range(3):
+            alone = householder_qtb_alone(h_j, tau_j, rhs[i, j])
+            assert stacked[i, j, : len(tau_j)].tobytes() == alone.tobytes()
 
 
 def test_blocks_hold_right_hand_sides_and_columns_in_the_reflectors_layout(sphere_rule):
@@ -320,7 +369,8 @@ def test_householder_projection_equals_the_complete_q(sphere_rule):
         copy = np.array(A, order=order)
         h, tau = np.linalg.qr(copy, mode="raw")
         expected = (np.linalg.qr(copy, mode="complete")[0].T @ b)[: A.shape[1]]
-        assert np.linalg.norm(lsq._householder_qtb(h, tau, b) - expected) <= 1e-13 * np.linalg.norm(expected)
+        qtb = lsq._householder_qtb(h[None], tau[None], b[None, None, :, None])[0, 0, :, 0]
+        assert np.linalg.norm(qtb - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 ORDER_CASES = {  # surface, L: a sphere and an off-center spheroid, both surfaces of revolution
