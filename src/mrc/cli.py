@@ -79,9 +79,12 @@ def run_cells(cells: list[RunConfig]) -> list:
 
 def output_paths(cfg: RunConfig, out_dir: Path, names: dict) -> dict:
     """Each output's path under out_dir (names: key -> default file name); a ConfigError (exit 2) if a
-    path names a directory or lies under a file. Nothing is made here: see make_directories."""
+    path does not resolve under out_dir (through a symbolic link), names a directory or lies under a
+    file. Nothing is made here: see make_directories."""
     paths = {key: out_dir / cfg.outputs.get(key, name) for key, name in names.items()}
     for key, path in paths.items():
+        if not path.resolve().is_relative_to(out_dir.resolve()):
+            raise ConfigError(f"outputs {key} resolves outside --out {out_dir}: {path}")
         if path.is_dir() or not next(p for p in path.parents if p.exists()).is_dir():
             raise ConfigError(f"outputs {key} names a directory or lies under a file: {path}")
     return paths

@@ -2,11 +2,14 @@
 
 RunConfig.from_dict runs every check before any quadrature is built (only
 tabulated samples wait for the nodes); each failure is a ConfigError (exit
-2): a key outside the schema below, a value of the wrong type or range, a
-fixed rule under 2 x 4 nodes or, for tabulated data, short of L_start, a
-source outside the inscribed sphere, a field radius inside the surface or
-with an infinite square (the weights of its error sphere overflow). A
-"grid" sweep has at most 10000 cells (see cli); its base must be a valid run.
+2): a key outside the schema below, a value of the wrong type or range
+(svd_rtol must lie in (0, 1)), a fixed rule under 2 x 4 nodes or above
+geometry.MAX_RULE (130 x 260, checked before anything is allocated) or, for
+tabulated data, short of L_start, a source outside the inscribed sphere, a
+field radius inside the surface or with an infinite square (the weights of
+its error sphere overflow), an output name that is absolute or has a '..'
+component (cli also refuses one that resolves outside --out). A "grid"
+sweep has at most 10000 cells (see cli); its base must be a valid run.
 
     {
       "surface": {"preset": "sphere" | "spheroid" | "cosine_bump",
@@ -28,21 +31,24 @@ Only "mrc.epsilon" is required there; the other "mrc" keys default to the
 fields of driver.MrcConfig, which holds the only copy of each default. The
 parameters of each preset, with their defaults, types and ranges, are its
 entry in geometry.PRESETS. "auto" quadrature is geometry.auto_quadrature
-at L_max. A band-limited expansion is about the surface center and needs
-|m| <= ell <= ELL_MAX; each field radius must enclose the surface (default:
-twice the enclosing radius), also for tabulated data, which has no field
-errors. Tabulated samples are CSV rows theta,phi,f that must match the
-generated quadrature nodes to 1e-12 in angle; no interpolation is attempted.
+at L_max, whose n_phi is rounded up to a multiple of a p-fold surface's p.
+A band-limited expansion is about the surface center and needs |m| <= ell
+<= ELL_MAX; each field radius must enclose the surface (default: twice the
+enclosing radius), also for tabulated data, which has no field errors.
+Tabulated samples are CSV rows theta,phi,f that must match the generated
+quadrature nodes to 1e-12 in angle, the rounded auto rule's too; no
+interpolation is attempted.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -91,15 +97,16 @@ class RunConfig:
             surface=_section(doc["surface"], "surface", ("preset", "params", "center")),
             bc=_section(doc.get("bc", {"kind": DIRICHLET}), "bc", ("kind", "sigma")),
             data=_section(doc["data"], "data", ("type", "z", "q", "coefficients", "path")),
-            mrc=_section(doc["mrc"], "mrc"),
+            mrc=_section(doc["mrc"], "mrc", [f.name for f in dataclasses.fields(driver.MrcConfig)]),
             quadrature=doc.get("quadrature", "auto"),
             outputs=_section(doc.get("outputs", {}), "outputs", [*OUTPUT_FILES, "field_radii", "sweep_csv"]),
             **({"grid": _section(doc["grid"], "grid")} if "grid" in doc else {}),
         )
         surface, bc, quadrature, grid = doc["surface"], doc["bc"], doc["quadrature"], doc.get("grid", {})
         for key, name in doc["outputs"].items():
-            if key != "field_radii" and not (isinstance(name, str) and name.split("/")[-1] not in ("", ".", "..")):
-                raise ConfigError(f"outputs {key} must be a file name, got {name!r}")
+            parts = name.split("/") if isinstance(name, str) else [""]
+            if key != "field_radii" and (parts[-1] in ("", ".") or ".." in parts or PurePath(name).is_absolute()):
+                raise ConfigError(f"outputs {key} must be a relative file name with no '..', got {name!r}")
         # the spec checks the center, the preset and its parameters against geometry.PRESETS
         spec = geometry.SurfaceSpec(surface.get("preset"), surface.get("params", {}),
                                     surface.get("center", (0.0, 0.0, 0.0)))
@@ -108,10 +115,9 @@ class RunConfig:
         sigma = require_number("bc sigma", bc.get("sigma", 0.0))
         if not sigma >= 0:
             raise ConfigError("Robin coefficient sigma must be >= 0")
-        try:
-            mrc = driver.MrcConfig(**doc["mrc"])
-        except TypeError as exc:  # an unknown key, or no epsilon
-            raise ConfigError(f"mrc section: {exc}") from exc
+        if "epsilon" not in doc["mrc"]:
+            raise ConfigError("mrc section needs epsilon")
+        mrc = driver.MrcConfig(**doc["mrc"])
         if quadrature != "auto":
             if not isinstance(quadrature, dict) or set(quadrature) != {"n_theta", "n_phi"}:
                 raise ConfigError('quadrature must be "auto" or {"n_theta": ..., "n_phi": ...}')

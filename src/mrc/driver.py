@@ -9,8 +9,11 @@ one table: the DegreeRecord of every data vector, and the fit; every row
 keeps its fit. On a surface the spec declares axisymmetric (sphere,
 spheroid) the system is grown as lsq.OrderSystem, one small block per
 azimuthal order, and the n_nodes x (L+1)^2 matrix of lsq.GrowingSystem is
-never built; one lsq.solve body factors the blocks of either. One rule,
-stop, ends a vector's history at an epsilon: at the first row <= epsilon
+never built. Any other surface is grown as lsq.GrowingSystem with the
+order g = gcd(spec.rotation_order, n_phi) of the rule: one block per
+rotation class when g > 1 (a p-fold cosine_bump on a rule p divides), the
+whole matrix when g = 1. One lsq.solve body factors the blocks of either.
+One rule, stop, ends a vector's history at an epsilon: at the first row <= epsilon
 (converged); else after stagnation_patience steps in a row, each above
 stagnation_factor x the step before (stagnated); else where it runs out:
 at L_max or, if LAPACK fails part-way, as stagnated. A stagnated run
@@ -25,6 +28,7 @@ each report is the table sliced at its stop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields
 
 import numpy as np
@@ -62,7 +66,7 @@ class MrcConfig:
             (self.L_step >= 1, "L_step >= 1"),
             (0 < self.stagnation_factor < 1, "0 < stagnation_factor < 1"),
             (self.stagnation_patience >= 1, "stagnation_patience >= 1"),
-            (self.svd_rtol > 0, "svd_rtol > 0"),
+            (0 < self.svd_rtol < 1, "0 < svd_rtol < 1"),  # from 1 up a fit keeps at most sigma_max
         ):
             if not holds:
                 raise ConfigError(f"MRC parameters need {requirement}, got {self}")
@@ -160,8 +164,9 @@ def run_mrc_grid(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule, data
         f_norms = [float(np.sqrt(np.sum(rule.weights * d.values**2))) for d in data]
     if not np.all(np.isfinite(f_norms)):
         raise ConfigError(f"boundary data norms {f_norms} are not all finite")
-    system = (lsq.OrderSystem if spec.axisymmetric else lsq.GrowingSystem)(
-        rule, np.stack([d.values for d in data]), data[0].bc, data[0].sigma)
+    values = np.stack([d.values for d in data])
+    system = (lsq.OrderSystem(rule, values, data[0].bc, data[0].sigma) if spec.axisymmetric else
+              lsq.GrowingSystem(rule, values, data[0].bc, data[0].sigma, math.gcd(spec.rotation_order, rule.n_phi)))
     r_min, r_max = geometry.radius_bounds(spec)
     if r_min < np.finfo(float).tiny ** (1.0 / (L_max + 2)):  # r_min^(L_max+2), a column's divisor, underflows
         raise GeometryError(f"the surface is too small: its inscribed radius {r_min} to the power L_max + 2 = "

@@ -28,6 +28,7 @@ class Preset(NamedTuple):
     bounds: Callable  # (min, max) of rho = bounds(**params), in closed form
     checks: tuple  # (predicate(**params), what it requires) pairs
     axisymmetric: bool = False  # rho does not depend on phi: a surface of revolution about the z-axis through center
+    rotation_order: Callable = lambda **params: 1  # p = rotation_order(**params): rho is p-fold symmetric about it
 
 
 def _shape(theta, phi):
@@ -63,6 +64,7 @@ PRESETS = {
         lambda a, delta, k, p: (a * (1.0 - abs(delta)), a * (1.0 + abs(delta))),  # at theta = pi/2, cos(p phi) = +-1
         (_A_POSITIVE, (lambda k, **_: k >= 1, "exponent k >= 1"), (lambda p, **_: p >= 1, "azimuthal order p >= 1"),
          (lambda delta, **_: abs(delta) < 1, "amplitude |delta| < 1")),
+        rotation_order=lambda p, **_: p,
     ),
 }
 
@@ -113,6 +115,12 @@ class SurfaceSpec:
     def axisymmetric(self) -> bool:
         """Whether the preset declares a surface of revolution about the z-axis through the center; custom is not."""
         return self.kind != "custom" and PRESETS[self.kind].axisymmetric
+
+    @property
+    def rotation_order(self) -> int:
+        """The order p of the rotations about the z-axis through the center that the preset declares map the
+        surface to itself (p for cosine_bump); 1 for every other preset and for a custom surface."""
+        return 1 if self.kind == "custom" else PRESETS[self.kind].rotation_order(**self.params)
 
     # -- radial function and derivatives -------------------------------
 
@@ -211,10 +219,17 @@ def spherical_frame(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...
     return s, rhat, that, phat
 
 
+# The largest rule: twice the theta-lines and phi-lines that the highest degree (harmonics.ELL_MAX = 64) needs.
+# Every auto rule fits (at most 66 x 258 at L_max = 64, n_phi rounded up to a rotation order).
+MAX_RULE = (130, 260)
+
+
 def max_degree(n_theta: int, n_phi: int) -> int:
-    """The highest degree through which an n_theta x n_phi rule keeps discrete orthonormality."""
-    if n_theta < 2 or n_phi < 4:
-        raise ConfigError(f"need n_theta >= 2 and n_phi >= 4, got ({n_theta}, {n_phi})")
+    """The highest degree through which an n_theta x n_phi rule keeps discrete orthonormality; a ConfigError
+    for a rule under 2 x 4 or above MAX_RULE, before anything is allocated."""
+    if not (2 <= n_theta <= MAX_RULE[0] and 4 <= n_phi <= MAX_RULE[1]):
+        raise ConfigError(f"need 2 <= n_theta <= {MAX_RULE[0]} and 4 <= n_phi <= {MAX_RULE[1]}, "
+                          f"got ({n_theta}, {n_phi})")
     return min(n_theta - 1, (n_phi - 1) // 2)
 
 
@@ -260,8 +275,10 @@ def build_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> QuadratureR
 
 
 def auto_quadrature(spec: SurfaceSpec, L_max: int) -> QuadratureRule:
-    """The default rule for degrees up to L_max: n_theta = L_max+2, n_phi = 2*L_max+2 (at least 4)."""
-    return build_quadrature(spec, L_max + 2, max(2 * L_max + 2, 4))
+    """The default rule for degrees up to L_max: n_theta = L_max+2, n_phi = 2*L_max+2 (at least 4), rounded
+    up to a multiple of the spec's rotation order p when p <= n_phi, so that the rule is p-fold symmetric too."""
+    n_phi, p = max(2 * L_max + 2, 4), spec.rotation_order
+    return build_quadrature(spec, L_max + 2, -(-n_phi // p) * p if p <= n_phi else n_phi)
 
 
 _SCAN_GRID = (1441, 2880)  # dense angular grid for the radius extrema of a custom surface

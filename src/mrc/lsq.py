@@ -16,11 +16,14 @@ the last bit alone or among others. The retained singular values are a
 sorted prefix: the factors are sliced.
 
 Every system is a tuple of blocks, solved by one body: a GrowingSystem
-is one block, the whole matrix. On a surface of revolution the system is
+is one block, the whole matrix, unless its surface is declared invariant
+under rotations by 2*pi/g about the z-axis and g divides the rule's n_phi;
+then it is one block per rotation class (the orders m = +-k mod g), built
+from one sector of the rule. On a surface of revolution the system is
 block-diagonal in the azimuthal order m, and OrderSystem builds one
 small block per |m|, shared by m and -m. Each block is factored as
 above, and both residuals are recomputed by the system itself from the
-flat coefficients.
+flat coefficients, on every node.
 """
 
 from __future__ import annotations
@@ -28,13 +31,14 @@ from __future__ import annotations
 import itertools
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SolverError
 from .geometry import max_degree, uniform_phi_line
-from .harmonics import ELL_MAX, azimuthal, azimuthal_coefficients, line_blocks, node_blocks
+from .harmonics import ELL_MAX, azimuthal, azimuthal_coefficients, degrees, line_blocks, node_blocks
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -106,25 +110,72 @@ def _checked_data(rule, values, bc: str, sigma: float) -> np.ndarray:
     return values
 
 
+class _RotationClass(NamedTuple):
+    """One block of a GrowingSystem: the orders m = +-k (mod g), with its rows on sector 0."""
+
+    k: int
+    pair: bool  # k and -k are two classes, fitted as one real block with twice sector 0's rows
+    rows: np.ndarray  # each row's scaling: sqrt(g w), or sqrt(g w / 2) in a pair, of its sector-0 node
+    table: np.ndarray  # the columns up to the rule's degree, column-major
+    rhs: np.ndarray  # (n_data, n_rows): each data vector's projection onto the class, scaled
+    columns: np.ndarray  # each column's flat index, increasing
+    signs: np.ndarray  # a pair's sign of the trace of (l, -m) in column (l, m): -s for m > 0, s for m < 0
+
+
 class GrowingSystem:
     """The weighted system for the given boundary-condition kind and
     degrees 0..L, grown as L rises; each row of `values` is a right-hand side.
 
     Columns: the bc_trace of each h_k about the rule's center at the nodes
-    x_i; all rows carry sqrt(w_i). One column-major table (see the module
-    docstring) is reserved for the degrees up to the rule's max_degree; each
-    `extend` draws from node_blocks only the degrees not seen yet and writes
-    their columns in place, and returns a view: no column is built twice or copied.
+    x_i; all rows carry sqrt(w_i). One column-major table per block (see the
+    module docstring) is reserved for the degrees up to the rule's max_degree;
+    each `extend` draws from node_blocks only the degrees not seen yet and writes
+    their columns in place, and returns views: no column is built twice or copied.
+
+    With `order` g > 1 the surface is declared invariant under rotations by 2*pi/g about the z-axis
+    through the rule's center, and g divides n_phi: sector s, the phi-lines s*n_phi/g .. (s+1)*n_phi/g - 1
+    of every theta-line, is sector 0 rotated s times. The system is then block-diagonal in the rotation
+    classes, and node_blocks runs on sector 0 only. Class 0 (the orders m = 0 mod g) and, for even g,
+    class g/2 are one block each, rows sqrt(g w) times the trace; each pair of classes +-k is one block
+    with twice sector 0's rows, scaled sqrt(g w / 2): with X, X' the traces of (l, |m|), (l, -|m|),
+    column (l, |m|) is [X; -s X'] and column (l, -|m|) is [X'; s X], s = +1 if |m| = k (mod g), else -1.
+    The data vectors are projected onto the classes by a length-g real FFT across the sectors, d_k, with
+    [2 Re d_k; -2 Im d_k] for a pair. A class with no harmonic of degree <= L has no block; its data stay
+    in the misfit, as both residuals are measured on every node, from the fit synthesised there by the
+    inverse FFT. g = 1 is the whole matrix, one block, with the misfit A c - b.
     """
 
-    def __init__(self, rule, values: np.ndarray, bc: str, sigma: float):
+    def __init__(self, rule, values: np.ndarray, bc: str, sigma: float, order: int = 1):
         values = _checked_data(rule, values, bc, sigma)
-        self._bc, self._sigma = bc, sigma
+        if not (order >= 1 and rule.n_phi % order == 0
+                and (order == 1 or np.array_equal(rule.phi_line, uniform_phi_line(rule.n_phi)))):
+            raise ValueError(f"rotation order {order} needs a rule on uniform phi-lines whose n_phi it divides")
+        self._bc, self._sigma, self._order = bc, sigma, order
         self._ell_cap = min(max_degree(rule.n_theta, rule.n_phi), ELL_MAX)
-        self._blocks = node_blocks(self._ell_cap, rule, gradients=bc != DIRICHLET)
-        self._table = np.empty((rule.n_nodes, (self._ell_cap + 1) ** 2), order="F")
+        self._shape = (rule.n_theta, rule.n_phi // order)  # sector 0's theta-lines and phi-lines
+        def sector(a):  # sector 0's nodes of a per-node array: a view of the whole array if order is 1
+            return a.reshape(rule.n_theta, order, -1, *a.shape[1:])[:, 0].reshape(-1, *a.shape[1:])
+        sector_rule = replace(rule, theta=sector(rule.theta), phi=sector(rule.phi), points=sector(rule.points),
+                              normals=sector(rule.normals), weights=sector(rule.weights), n_phi=self._shape[1])
+        self._blocks = node_blocks(self._ell_cap, sector_rule, gradients=bc != DIRICHLET)
+        self._single = values.ndim == 1
+        self._values = values.reshape(-1, rule.n_nodes)
         self._sqrt_w = np.sqrt(rule.weights)
-        self._rhs = values * self._sqrt_w
+        ells = degrees(self._ell_cap)
+        orders = np.arange(len(ells)) - ells * (ells + 1)  # the order m of each flat column
+        residue = np.abs(orders) % order
+        sectors = self._values.reshape(-1, rule.n_theta, order, self._shape[1])
+        spectrum = np.fft.rfft(sectors, axis=2) / order if order > 1 else sectors  # [i, theta-line, k, phi-line]
+        self._classes = []
+        for k in range(order // 2 + 1):
+            pair = 0 < 2 * k < order
+            rows = np.tile(np.sqrt(order * sector_rule.weights / (2 if pair else 1)), 1 + pair)
+            d = spectrum[:, :, k].reshape(len(self._values), -1)
+            columns = np.flatnonzero(np.minimum(residue, order - residue) == k)
+            self._classes.append(_RotationClass(
+                k, pair, rows, np.empty((len(rows), len(columns)), order="F"),
+                (np.concatenate([2 * d.real, -2 * d.imag], axis=1) if pair else d.real) * rows, columns,
+                np.where(residue[columns] == k, -1.0, 1.0) * np.sign(orders[columns])))
         self._ell_max = -1
 
     def extend(self, ell_max: int) -> LsqProblem:
@@ -132,10 +183,33 @@ class GrowingSystem:
         if not self._ell_max <= ell_max <= self._ell_cap:
             raise ValueError(f"degree {ell_max} is outside [{self._ell_max}, {self._ell_cap}]")
         for ell, (v, dn) in enumerate(itertools.islice(self._blocks, ell_max - self._ell_max), self._ell_max + 1):
-            np.multiply(bc_trace(self._bc, self._sigma, v, dn), self._sqrt_w[:, None],
-                        out=self._table[:, ell * ell : (ell + 1) ** 2])
+            trace = bc_trace(self._bc, self._sigma, v, dn)
+            for cls in self._classes:
+                lo, hi = np.searchsorted(cls.columns, [ell * ell, (ell + 1) ** 2])
+                at = cls.columns[lo:hi] - ell * ell  # the class's columns of this degree, at l + m
+                if cls.pair:  # column (l, m) goes on with the trace of (l, -m), signed
+                    np.multiply(np.concatenate([trace[:, at], trace[:, 2 * ell - at] * cls.signs[lo:hi]]),
+                                cls.rows[:, None], out=cls.table[:, lo:hi])
+                else:  # the whole degree (order 1) needs no copy
+                    np.multiply(trace if hi - lo == 2 * ell + 1 else trace[:, at], cls.rows[:, None],
+                                out=cls.table[:, lo:hi])
         self._ell_max = ell_max
-        return LsqProblem.from_matrix(self._table[:, : (ell_max + 1) ** 2], self._rhs, self._sqrt_w)
+        counts = [np.searchsorted(cls.columns, (ell_max + 1) ** 2) for cls in self._classes]
+        used = [(cls, n) for cls, n in zip(self._classes, counts) if n]  # a class without columns has no block
+        if self._order == 1:
+            ((cls, n),) = used
+            return LsqProblem.from_matrix(cls.table[:, :n], cls.rhs[0] if self._single else cls.rhs, self._sqrt_w)
+
+        def residuals(i, c):
+            spectrum = np.zeros((self._shape[0], self._order // 2 + 1, self._shape[1]), dtype=complex)
+            for cls, n in used:
+                fit = cls.table[:, :n] @ c[cls.columns[:n]] / cls.rows  # the fit's class projection on sector 0
+                half = len(fit) // 2
+                spectrum[:, cls.k] = ((fit[:half] - 1j * fit[half:]) / 2 if cls.pair else fit).reshape(self._shape)
+            misfit = np.fft.irfft(self._order * spectrum, n=self._order, axis=1).reshape(-1) - self._values[i]
+            return float(np.linalg.norm(misfit * self._sqrt_w)), float(np.max(np.abs(misfit)))
+        return LsqProblem(tuple(Block(cls.table[:, :n], cls.rhs[:, :, None], cls.columns[:n, None]) for cls, n in used),
+                          residuals, self._single)
 
 
 class OrderSystem:

@@ -336,6 +336,9 @@ def _edit(doc, dotted, value):
         "infinite-sigma": {"bc": {"kind": "robin", "sigma": float("inf")}},
         "infinite-q": {"data": dict(_POINT, q=float("inf"))},
         "epsilon-beyond-float-range": {"mrc.epsilon": 10**400},
+        # these loaded, then exited 4: a fit keeps at most the largest singular value from svd_rtol = 1 up
+        "svd_rtol-one": {"mrc.svd_rtol": 1.0},
+        "svd_rtol-two": {"mrc.svd_rtol": 2.0},
     }.items()
 ])
 def test_bad_config_value_is_config_error(tmp_path, edits):
@@ -671,4 +674,63 @@ def test_surface_too_small_for_its_degrees_exits_3_before_a_solve(tmp_path, caps
     assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(out)]) == cli.EXIT_GEOMETRY
     (line,) = capsys.readouterr().err.splitlines()
     assert "inscribed radius" in line and "e-15" in line and "ROADMAP item 8" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("report", ["absolute", "../x.json", "sub/../../x.json"],
+                         ids=["absolute", "dotdot", "sub-dotdot"])
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_output_path_outside_out_is_refused_at_load(tmp_path, capsys, monkeypatch, command, report):
+    # an absolute outputs path, or one with a '..' component, loaded and was written outside --out
+    monkeypatch.setattr(cli.driver, "run_mrc_grid", _no_solve)
+    name = str(tmp_path / "x.json") if report == "absolute" else report
+    doc = base_config(outputs={"report": name, "sweep_csv": name})
+    doc["grid"] = {"mrc.epsilon": [1e-3, 1e-6]}
+    cfg = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match="relative file name"):
+        RunConfig.from_dict(json.loads(cfg.read_text()), base_dir=tmp_path)
+    out = tmp_path / "out"
+    assert cli.main([command, str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+def test_output_path_through_a_link_out_of_out_is_refused(tmp_path, capsys, monkeypatch):
+    # a relative name can still leave --out through a symbolic link under it: the resolved path is checked
+    monkeypatch.setattr(cli.driver, "run_mrc_grid", _no_solve)
+    (tmp_path / "elsewhere").mkdir()
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "link").symlink_to(tmp_path / "elsewhere")
+    cfg = write_config(tmp_path, base_config(outputs={"report": "link/report.json"}))
+    assert cli.main(["solve", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "resolves outside --out" in line
+    assert not any((tmp_path / "elsewhere").iterdir())
+
+
+def test_unknown_mrc_key_is_named(tmp_path, capsys):
+    # it exited 2 with "MrcConfig.__init__() got an unexpected keyword argument 'foo'"
+    doc = base_config()
+    doc["mrc"]["foo"] = 1
+    assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unknown keys in mrc: ['foo']\n"
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("a rule was built")
+
+
+@pytest.mark.parametrize("quadrature", [
+    {"n_theta": 1000000, "n_phi": 4}, {"n_theta": 14, "n_phi": 10**12}, {"n_theta": G.MAX_RULE[0] + 1, "n_phi": 26},
+    {"n_theta": 14, "n_phi": G.MAX_RULE[1] + 1},
+], ids=["n_theta-1e6", "n_phi-1e12", "n_theta-above-the-cap", "n_phi-above-the-cap"])
+def test_rule_above_the_size_cap_is_refused_before_anything_is_allocated(tmp_path, capsys, monkeypatch, quadrature):
+    # n_theta = 10**6 ended in a traceback: leggauss asked for a 7.28 TiB companion matrix. No rule is built here
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", _no_allocation)
+    monkeypatch.setattr(G, "sphere_grid", _no_allocation)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(quadrature=quadrature))
+    assert cli.main(["solve", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert f"n_theta <= {G.MAX_RULE[0]}" in line and f"n_phi <= {G.MAX_RULE[1]}" in line
     assert not out.exists()

@@ -222,15 +222,16 @@ def test_relative_residual_reported():
 @pytest.mark.parametrize("bc, sigma", [("dirichlet", 0.0), ("neumann", 0.0), ("robin", 1.0)])
 @pytest.mark.parametrize("steps", [{"L_start": 0}, {"L_step": 2}], ids=["L_start=0", "L_step=2"])
 def test_growing_system_matches_rebuild(bc, sigma, steps):
-    # the loop grows one design matrix; each degree must solve exactly the
-    # system a fresh one-step build for that degree gives
+    # the loop grows one design matrix; each degree must solve exactly the system a fresh one-step
+    # build for that degree gives. 3 divides the rule's 48 phi-lines: the loop's system is split into
+    # rotation classes, and so is the fresh one
     spec = G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3)
     rule = G.build_quadrature(spec, 24, 48)
     data = F.boundary_data_from_oracle(rule, F.PointSource([0.3, 0.0, 0.0]), bc, sigma)
     report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-14, L_max=12, **steps))
     assert [h.L for h in report.history][:2] == [steps.get("L_start", 2), steps.get("L_start", 2) + steps.get("L_step", 1)]
     for h in report.history:
-        sol = lsq.solve(lsq.GrowingSystem(rule, data.values, bc, sigma).extend(h.L))
+        sol = lsq.solve(lsq.GrowingSystem(rule, data.values, bc, sigma, 3).extend(h.L))
         assert (h.residual_l2, h.rank, h.cond_estimate) == (sol.residual_l2, sol.rank, sol.cond_estimate)
         field = F.ExteriorField(spec.center, sol.coefficients, report.field.r_min, report.field.r_max)
         assert h.sup_residual == pytest.approx(F.sup_residual(rule, field, data), rel=1e-8)
@@ -324,23 +325,40 @@ def test_rule_about_another_center_is_refused():
     assert F.error_on_enclosing_sphere(report.field, oracle, 3.0).l2 <= 1e-11
 
 
-@pytest.mark.parametrize("spec, system", [
-    (G.SurfaceSpec.sphere(1.0), lsq.OrderSystem),
-    (G.SurfaceSpec.spheroid(1.0, 0.5), lsq.OrderSystem),
-    (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), lsq.GrowingSystem),
-    (G.SurfaceSpec("custom", rho_fn=lambda t, f: 1.0 + 0.1 * np.cos(t) ** 2), lsq.GrowingSystem),
-])
-def test_only_declared_surfaces_of_revolution_split_by_order(monkeypatch, spec, system):
-    # the declaration in geometry.PRESETS picks the system; a custom rho_fn declares nothing. The
-    # order blocks of degree L are L + 1; the whole matrix is one block
+@pytest.mark.parametrize("spec, system, n_phi, blocks", [
+    (G.SurfaceSpec.sphere(1.0), lsq.OrderSystem, 32, None),
+    (G.SurfaceSpec.spheroid(1.0, 0.5), lsq.OrderSystem, 32, None),
+    (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), lsq.GrowingSystem, 32, 1),
+    (G.SurfaceSpec("custom", rho_fn=lambda t, f: 1.0 + 0.1 * np.cos(t) ** 2), lsq.GrowingSystem, 32, 1),
+    (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), lsq.GrowingSystem, 33, 2),
+], ids=["spec0-OrderSystem", "spec1-OrderSystem", "spec2-GrowingSystem", "spec3-GrowingSystem",
+        "cosine_bump-on-a-rule-3-divides"])
+def test_only_declared_surfaces_of_revolution_split_by_order(monkeypatch, spec, system, n_phi, blocks):
+    # the declarations in geometry.PRESETS pick the system; a custom rho_fn declares nothing. The
+    # order blocks of degree L are L + 1; the whole matrix is one block, and a 3-fold cosine_bump on a
+    # rule 3 divides is two, rotation class 0 and the pair of classes +-1
     assert spec.axisymmetric == (system is lsq.OrderSystem)
     solved, solve = [], lsq.solve
     monkeypatch.setattr(D.lsq, "solve", lambda p, *args: solved.append(len(p.blocks)) or solve(p, *args))
-    rule = G.build_quadrature(spec, 16, 32)
+    rule = G.build_quadrature(spec, 16, n_phi)
     data = F.boundary_data_from_oracle(rule, F.PointSource([0.1, 0.0, 0.0]))
     report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-6, L_max=8))
     assert report.termination == D.CONVERGED
-    assert solved == [h.L + 1 if system is lsq.OrderSystem else 1 for h in report.history]
+    assert solved == [h.L + 1 if system is lsq.OrderSystem else blocks for h in report.history]
+
+
+def test_a_64_lobed_bump_sends_no_empty_block_to_the_solve(monkeypatch):
+    # on a rule 64 divides the rotation classes k > L have no harmonic of degree <= L: they get no block,
+    # where a zero-column block made lsq.solve raise IndexError on its first singular value
+    spec = G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 64)
+    rule = G.build_quadrature(spec, 22, 128)
+    solved, solve = [], lsq.solve
+    monkeypatch.setattr(D.lsq, "solve", lambda p, *args: solved.append(p) or solve(p, *args))
+    data = F.boundary_data_from_oracle(rule, F.PointSource([0.3, 0.0, 0.0]))
+    report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-12, L_max=20))
+    assert [h.L for h in report.history] == list(range(2, 21))
+    assert [len(p.blocks) for p in solved] == [h.L + 1 for h in report.history]  # classes 0..L of 0..32
+    assert all(b.matrix.shape[1] > 0 for p in solved for b in p.blocks)
 
 
 @pytest.mark.parametrize("second", [

@@ -99,6 +99,31 @@ def test_node_count_minimums():
         G.build_quadrature(G.SurfaceSpec.sphere(1.0), 8, 3)
 
 
+@pytest.mark.parametrize("spec, L_max, shape", [
+    (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), 40, (42, 84)),  # 82 phi-lines rounded up to a multiple of 3
+    (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), 30, (32, 63)),
+    (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 64), 12, (14, 26)),  # 64 lobes, more than 26 phi-lines: kept
+    (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 10**200), 40, (42, 82)),
+    (G.SurfaceSpec.spheroid(1.0, 0.5), 40, (42, 82)),
+    (G.SurfaceSpec("custom", rho_fn=lambda t, f: 1.0 + 0.1 * np.cos(t) ** 2), 40, (42, 82)),
+], ids=["p3-L40", "p3-L30", "p64-L12", "p1e200-L40", "spheroid", "custom"])
+def test_auto_rule_rounds_n_phi_up_to_the_rotation_order(monkeypatch, spec, L_max, shape):
+    monkeypatch.setattr(G, "build_quadrature", lambda spec, n_theta, n_phi: (n_theta, n_phi))
+    assert G.auto_quadrature(spec, L_max) == shape
+
+
+def test_every_auto_rule_fits_under_the_size_cap(monkeypatch):
+    # rounding n_phi up to a rotation order p <= n_phi leaves it below 2 n_phi: at most 66 x 258 at L_max = 64
+    monkeypatch.setattr(G, "build_quadrature", lambda spec, n_theta, n_phi: (n_theta, n_phi))
+    for L_max in range(H.ELL_MAX + 1):
+        for p in range(1, 2 * H.ELL_MAX + 8):
+            shape = G.auto_quadrature(G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, p), L_max)
+            assert G.max_degree(*shape) >= L_max  # a ConfigError above the cap
+            assert shape[1] % p == 0 or p > shape[1]
+    with pytest.raises(ConfigError):
+        G.max_degree(G.MAX_RULE[0] + 1, G.MAX_RULE[1])
+
+
 def test_max_degree_of_the_auto_rule_and_every_system_is_tall():
     # the auto rule for L >= 1 resolves exactly L (for L = 0 it is the 2 x 4 minimum); on any rule, the
     # degrees it resolves have fewer columns, (L+1)^2, than it has nodes: every system the loop solves is tall

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -417,3 +419,53 @@ def test_order_system_refuses_what_it_cannot_split():
     system = lsq.OrderSystem(rule, np.zeros(rule.n_nodes), lsq.DIRICHLET, 0.0)
     with pytest.raises(ValueError, match="outside"):  # 2L < n_phi keeps the azimuthal projection exact
         system.extend(G.max_degree(rule.n_theta, rule.n_phi) + 1)
+
+
+ROTATION_CASES = {  # cosine_bump's p and the rule's n_phi; GrowingSystem takes the order g = gcd(p, n_phi)
+    "g2": (2, 24), "g3": (3, 24), "g4": (4, 24), "g5": (5, 25), "p6-on-45": (6, 45),
+}
+
+
+@pytest.mark.parametrize("name", ROTATION_CASES)
+def test_rotation_classes_solve_the_full_system(name):
+    p, n_phi = ROTATION_CASES[name]
+    g, L = math.gcd(p, n_phi), 8
+    rule = G.build_quadrature(G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, p), 12, n_phi)
+    values = np.stack([F.boundary_data_from_oracle(rule, F.PointSource(z), lsq.ROBIN, 1.0).values
+                       for z in ([0.3, 0.0, 0.0], [0.0, -0.1, 0.25])])
+    whole = lsq.GrowingSystem(rule, values, lsq.ROBIN, 1.0).extend(L)
+    classes = lsq.GrowingSystem(rule, values, lsq.ROBIN, 1.0, g).extend(L)
+    assert len(classes.blocks) == g // 2 + 1  # class 0, the pairs +-k, and class g/2 for even g
+    assert sorted(np.concatenate([b.columns.ravel() for b in classes.blocks])) == list(range((L + 1) ** 2))
+    svals = np.linalg.svd(whole.blocks[0].matrix, compute_uv=False)
+    union = np.sort(np.concatenate([np.linalg.svd(b.matrix, compute_uv=False) for b in classes.blocks]))[::-1]
+    assert np.max(np.abs(union - svals)) <= 1e-14 * svals[0]
+    full, split = lsq.solve(whole), lsq.solve(classes)
+    assert split.rank == full.rank
+    for c_split, c_full in zip(split.coefficients, full.coefficients):
+        assert np.max(np.abs(c_split - c_full)) <= 1e-12 * np.max(np.abs(c_full))
+    # both residuals are synthesised on every node, which has a floor of about 1e-14 of the data
+    f_l2, f_sup = np.linalg.norm(values * np.sqrt(rule.weights), axis=1), np.max(np.abs(values), axis=1)
+    assert np.all(np.abs(split.residual_l2 - full.residual_l2) <= 1e-12 * f_l2)
+    assert np.all(np.abs(split.sup_residual - full.sup_residual) <= 1e-12 * f_sup)
+
+
+def test_rotation_classes_refuse_what_they_cannot_split():
+    rule = G.build_quadrature(G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), 12, 24)
+    for order in (0, 5):  # 5 does not divide 24
+        with pytest.raises(ValueError, match="rotation order"):
+            lsq.GrowingSystem(rule, np.zeros(rule.n_nodes), lsq.DIRICHLET, 0.0, order)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_a_grown_system_equals_a_fresh_build(order):
+    # the whole matrix (order 1) and the rotation classes (order 3) are written in place degree by
+    # degree: each degree's blocks are bit-equal to those of a system built for that degree at once
+    rule = G.build_quadrature(G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), 12, 24)
+    values = F.boundary_data_from_oracle(rule, F.PointSource([0.3, 0.0, 0.0]), lsq.ROBIN, 1.0).values
+    grown = lsq.GrowingSystem(rule, values, lsq.ROBIN, 1.0, order)
+    for L in (0, 1, 4, 8):
+        for a, b in zip(grown.extend(L).blocks, lsq.GrowingSystem(rule, values, lsq.ROBIN, 1.0, order).extend(L).blocks,
+                        strict=True):
+            assert all(np.array_equal(x, y) for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)))
+            assert a.matrix.flags.f_contiguous
