@@ -74,11 +74,13 @@ class PointSource:
 
     def __call__(self, x) -> np.ndarray:
         d = np.atleast_2d(np.asarray(x, dtype=float)) - self.z
-        return self.q / np.linalg.norm(d, axis=1)
+        with np.errstate(all="ignore"):  # a value that overflows is not finite: BoundaryData refuses it
+            return self.q / np.linalg.norm(d, axis=1)
 
     def gradient(self, x) -> np.ndarray:
         d = np.atleast_2d(np.asarray(x, dtype=float)) - self.z
-        return -self.q * d / np.linalg.norm(d, axis=1)[:, None] ** 3
+        with np.errstate(all="ignore"):  # and a gradient that overflows, or whose |d|^3 underflows to 0
+            return -self.q * d / np.linalg.norm(d, axis=1)[:, None] ** 3
 
 
 def BandLimited(coefficients, center=(0.0, 0.0, 0.0)) -> ExteriorField:

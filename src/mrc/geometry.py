@@ -10,6 +10,7 @@ Gauss nodes never hit the poles, so the 1/sin(theta) in J is always finite.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -29,6 +30,7 @@ class Preset(NamedTuple):
     checks: tuple  # (predicate(**params), what it requires) pairs
     axisymmetric: bool = False  # rho does not depend on phi: a surface of revolution about the z-axis through center
     rotation_order: Callable = lambda **params: 1  # p = rotation_order(**params): rho is p-fold symmetric about it
+    z_mirror: bool = False  # rho(pi - theta, phi) = rho(theta, phi): z -> -z through center maps it to itself
 
 
 def _shape(theta, phi):
@@ -45,6 +47,7 @@ PRESETS = {
         lambda a: (a, a),
         (_A_POSITIVE,),
         axisymmetric=True,
+        z_mirror=True,
     ),
     "spheroid": Preset(
         {"a": None, "e": None},
@@ -53,6 +56,7 @@ PRESETS = {
         lambda a, e: (min(a, a * (1.0 + e)), max(a, a * (1.0 + e))),  # at the equator and the poles
         (_A_POSITIVE, (lambda e, **_: e > -1, "eccentricity e > -1")),
         axisymmetric=True,
+        z_mirror=True,
     ),
     "cosine_bump": Preset(
         {"a": None, "delta": None, "k": 2, "p": 3},
@@ -65,6 +69,7 @@ PRESETS = {
         (_A_POSITIVE, (lambda k, **_: k >= 1, "exponent k >= 1"), (lambda p, **_: p >= 1, "azimuthal order p >= 1"),
          (lambda delta, **_: abs(delta) < 1, "amplitude |delta| < 1")),
         rotation_order=lambda p, **_: p,
+        z_mirror=True,
     ),
 }
 
@@ -121,6 +126,12 @@ class SurfaceSpec:
         """The order p of the rotations about the z-axis through the center that the preset declares map the
         surface to itself (p for cosine_bump); 1 for every other preset and for a custom surface."""
         return 1 if self.kind == "custom" else PRESETS[self.kind].rotation_order(**self.params)
+
+    @property
+    def z_mirror(self) -> bool:
+        """Whether the preset declares the surface invariant under the mirror z -> -z through the center
+        (theta -> pi - theta): every preset does; a custom surface does not."""
+        return self.kind != "custom" and PRESETS[self.kind].z_mirror
 
     # -- radial function and derivatives -------------------------------
 
@@ -238,14 +249,24 @@ def uniform_phi_line(n_phi: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n_phi) / n_phi
 
 
-def sphere_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(theta, phi, weights) of the Gauss-Legendre (cos theta) x trapezoid (phi) rule on the
-    unit sphere, theta-major: n_theta theta-lines of n_phi nodes each."""
-    max_degree(n_theta, n_phi)  # the size check
+@functools.cache
+def _gauss_legendre_lines(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n_theta Gauss-Legendre polar angles, increasing, and their weights; computed once per size and
+    read-only, as every caller shares them."""
     xg, wg = np.polynomial.legendre.leggauss(n_theta)
     theta_1d = np.arccos(xg)  # decreasing in x -> increasing theta ordering below
     order = np.argsort(theta_1d)
-    theta_1d, wg = theta_1d[order], wg[order]
+    lines = theta_1d[order], wg[order]
+    for a in lines:
+        a.flags.writeable = False
+    return lines
+
+
+def sphere_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta, phi, weights) of the Gauss-Legendre (cos theta) x trapezoid (phi) rule on the
+    unit sphere, theta-major: n_theta theta-lines of n_phi nodes each."""
+    max_degree(n_theta, n_phi)  # the size check, before the rule is computed or cached
+    theta_1d, wg = _gauss_legendre_lines(n_theta)
     phi_1d = uniform_phi_line(n_phi)
     return np.repeat(theta_1d, n_phi), np.tile(phi_1d, n_theta), np.repeat(wg, n_phi) * (2.0 * np.pi / n_phi)
 

@@ -19,7 +19,9 @@ Every system is a tuple of blocks, solved by one body: a GrowingSystem
 is one block, the whole matrix, unless its surface is declared invariant
 under rotations by 2*pi/g about the z-axis and g divides the rule's n_phi;
 then it is one block per rotation class (the orders m = +-k mod g), built
-from one sector of the rule. On a surface of revolution the system is
+from one sector of the rule, and on a surface also declared invariant under
+z -> -z each class is split in two by the parity of l + |m|, built from the
+sector's northern theta-lines. On a surface of revolution the system is
 block-diagonal in the azimuthal order m, and OrderSystem builds one
 small block per |m|, shared by m and -m. Each block is factored as
 above, and both residuals are recomputed by the system itself from the
@@ -111,13 +113,15 @@ def _checked_data(rule, values, bc: str, sigma: float) -> np.ndarray:
 
 
 class _RotationClass(NamedTuple):
-    """One block of a GrowingSystem: the orders m = +-k (mod g), with its rows on sector 0."""
+    """One block of a GrowingSystem: the orders m = +-k (mod g) of one theta-parity, with its rows on sector 0."""
 
     k: int
     pair: bool  # k and -k are two classes, fitted as one real block with twice sector 0's rows
-    rows: np.ndarray  # each row's scaling: sqrt(g w), or sqrt(g w / 2) in a pair, of its sector-0 node
-    table: np.ndarray  # the columns up to the rule's degree, column-major
-    rhs: np.ndarray  # (n_data, n_rows): each data vector's projection onto the class, scaled
+    sign: float  # the parity's sign on a southern line: +1 for even l + |m| (or every column, unfolded), -1 for odd
+    rows: np.ndarray  # each row's scaling: sqrt(g w) of its sector-0 node, times sqrt(2) on a folded line and
+    # over sqrt(2) in a pair
+    table: np.ndarray  # the columns up to the system's top degree, column-major
+    rhs: np.ndarray  # (n_data, n_rows): each data vector's projection onto the class and parity, scaled
     columns: np.ndarray  # each column's flat index, increasing
     signs: np.ndarray  # a pair's sign of the trace of (l, -m) in column (l, m): -s for m > 0, s for m < 0
 
@@ -128,9 +132,9 @@ class GrowingSystem:
 
     Columns: the bc_trace of each h_k about the rule's center at the nodes
     x_i; all rows carry sqrt(w_i). One column-major table per block (see the
-    module docstring) is reserved for the degrees up to the rule's max_degree;
-    each `extend` draws from node_blocks only the degrees not seen yet and writes
-    their columns in place, and returns views: no column is built twice or copied.
+    module docstring) is reserved for the degrees up to L_max (at most the rule's
+    max_degree); each `extend` draws from node_blocks only the degrees not seen yet and
+    writes their columns in place, and returns views: no column is built twice or copied.
 
     With `order` g > 1 the surface is declared invariant under rotations by 2*pi/g about the z-axis
     through the rule's center, and g divides n_phi: sector s, the phi-lines s*n_phi/g .. (s+1)*n_phi/g - 1
@@ -140,23 +144,40 @@ class GrowingSystem:
     with twice sector 0's rows, scaled sqrt(g w / 2): with X, X' the traces of (l, |m|), (l, -|m|),
     column (l, |m|) is [X; -s X'] and column (l, -|m|) is [X'; s X], s = +1 if |m| = k (mod g), else -1.
     The data vectors are projected onto the classes by a length-g real FFT across the sectors, d_k, with
-    [2 Re d_k; -2 Im d_k] for a pair. A class with no harmonic of degree <= L has no block; its data stay
-    in the misfit, as both residuals are measured on every node, from the fit synthesised there by the
-    inverse FFT. g = 1 is the whole matrix, one block, with the misfit A c - b.
+    [2 Re d_k; -2 Im d_k] for a pair.
+
+    With `mirror` the surface is also declared invariant under z -> -z through the center, and the rule's
+    theta-lines pair up as theta_i, pi - theta_i (a ValueError if they do not). h_lm then has the parity
+    (-1)^(l + |m|) under the mirror, its normal derivative too, so each class splits in two by l + |m| mod 2,
+    and node_blocks runs on sector 0's northern theta-lines, plus the equator line when n_theta is odd.
+    A northern line's rows are scaled by a further sqrt(2); the equator line serves the even block only,
+    and the data vectors are folded into (d_i +- d_{n_theta-1-i}) / 2. Unfolded, each class is one block
+    on every theta-line: the case of one parity with no paired line. A block with no harmonic of degree
+    <= L is left out; its data stay in the misfit, as both residuals are measured on every node, from
+    the fit synthesised there (a southern line is even - odd) by the inverse FFT. g = 1 unfolded is the
+    whole matrix, one block, with the misfit A c - b.
     """
 
-    def __init__(self, rule, values: np.ndarray, bc: str, sigma: float, order: int = 1):
+    def __init__(self, rule, values: np.ndarray, bc: str, sigma: float, order: int = 1, mirror: bool = False,
+                 L_max: int = ELL_MAX):
         values = _checked_data(rule, values, bc, sigma)
         if not (order >= 1 and rule.n_phi % order == 0
                 and (order == 1 or np.array_equal(rule.phi_line, uniform_phi_line(rule.n_phi)))):
             raise ValueError(f"rotation order {order} needs a rule on uniform phi-lines whose n_phi it divides")
+        weights = rule.weights.reshape(rule.n_theta, rule.n_phi)
+        if mirror and not (np.allclose(rule.theta_line + rule.theta_line[::-1], np.pi, rtol=0.0, atol=1e-13)
+                           and np.allclose(weights, weights[::-1], rtol=1e-12, atol=0.0)):
+            raise ValueError("a fold by z -> -z needs theta-lines and weights mirrored through the equator")
         self._bc, self._sigma, self._order = bc, sigma, order
-        self._ell_cap = min(max_degree(rule.n_theta, rule.n_phi), ELL_MAX)
-        self._shape = (rule.n_theta, rule.n_phi // order)  # sector 0's theta-lines and phi-lines
-        def sector(a):  # sector 0's nodes of a per-node array: a view of the whole array if order is 1
-            return a.reshape(rule.n_theta, order, -1, *a.shape[1:])[:, 0].reshape(-1, *a.shape[1:])
+        self._ell_cap = min(max_degree(rule.n_theta, rule.n_phi), ELL_MAX, L_max)
+        self._pairs = rule.n_theta // 2 if mirror else 0  # the northern lines, each folded with its mirror line
+        lines = rule.n_theta - self._pairs  # the tabulated theta-lines: the northern ones, then the unpaired
+        self._shape = (rule.n_theta, rule.n_phi // order)  # the theta-lines and sector 0's phi-lines
+        def sector(a):  # sector 0's nodes on the tabulated lines: a view of the whole array if unsplit
+            return a.reshape(rule.n_theta, order, -1, *a.shape[1:])[:lines, 0].reshape(-1, *a.shape[1:])
         sector_rule = replace(rule, theta=sector(rule.theta), phi=sector(rule.phi), points=sector(rule.points),
-                              normals=sector(rule.normals), weights=sector(rule.weights), n_phi=self._shape[1])
+                              normals=sector(rule.normals), weights=sector(rule.weights), n_theta=lines,
+                              n_phi=self._shape[1])
         self._blocks = node_blocks(self._ell_cap, sector_rule, gradients=bc != DIRICHLET)
         self._single = values.ndim == 1
         self._values = values.reshape(-1, rule.n_nodes)
@@ -164,48 +185,56 @@ class GrowingSystem:
         ells = degrees(self._ell_cap)
         orders = np.arange(len(ells)) - ells * (ells + 1)  # the order m of each flat column
         residue = np.abs(orders) % order
+        parity = (ells + np.abs(orders)) % 2 if mirror else 0
+        scale = order * sector_rule.weights.reshape(lines, -1)
+        scale[: self._pairs] *= 2  # a folded line stands for itself and its mirror
         sectors = self._values.reshape(-1, rule.n_theta, order, self._shape[1])
         spectrum = np.fft.rfft(sectors, axis=2) / order if order > 1 else sectors  # [i, theta-line, k, phi-line]
         self._classes = []
-        for k in range(order // 2 + 1):
-            pair = 0 < 2 * k < order
-            rows = np.tile(np.sqrt(order * sector_rule.weights / (2 if pair else 1)), 1 + pair)
-            d = spectrum[:, :, k].reshape(len(self._values), -1)
-            columns = np.flatnonzero(np.minimum(residue, order - residue) == k)
+        for k, sign in itertools.product(range(order // 2 + 1), (1.0, -1.0) if mirror else (1.0,)):
+            pair, n_lines = 0 < 2 * k < order, lines if sign > 0 else self._pairs
+            rows = np.tile(np.sqrt(scale[:n_lines].ravel() / (2 if pair else 1)), 1 + pair)
+            d = spectrum[:, :, k]
+            folded = (d[:, : self._pairs] + sign * d[:, ::-1][:, : self._pairs]) / 2  # (d_i +- d_{n_theta-1-i}) / 2
+            d = np.concatenate([folded, d[:, self._pairs : lines]], axis=1)[:, :n_lines].reshape(len(self._values), -1)
+            columns = np.flatnonzero((np.minimum(residue, order - residue) == k) & (parity == (sign < 0)))
             self._classes.append(_RotationClass(
-                k, pair, rows, np.empty((len(rows), len(columns)), order="F"),
+                k, pair, sign, rows, np.empty((len(rows), len(columns)), order="F"),
                 (np.concatenate([2 * d.real, -2 * d.imag], axis=1) if pair else d.real) * rows, columns,
                 np.where(residue[columns] == k, -1.0, 1.0) * np.sign(orders[columns])))
         self._ell_max = -1
 
     def extend(self, ell_max: int) -> LsqProblem:
-        """The system for degrees 0..ell_max; ValueError below the current degree or above the rule's."""
+        """The system for degrees 0..ell_max; ValueError below the current degree or above the system's top."""
         if not self._ell_max <= ell_max <= self._ell_cap:
             raise ValueError(f"degree {ell_max} is outside [{self._ell_max}, {self._ell_cap}]")
         for ell, (v, dn) in enumerate(itertools.islice(self._blocks, ell_max - self._ell_max), self._ell_max + 1):
             trace = bc_trace(self._bc, self._sigma, v, dn)
             for cls in self._classes:
                 lo, hi = np.searchsorted(cls.columns, [ell * ell, (ell + 1) ** 2])
-                at = cls.columns[lo:hi] - ell * ell  # the class's columns of this degree, at l + m
+                at = cls.columns[lo:hi] - ell * ell  # the block's columns of this degree, at l + m
+                lines = trace[: len(cls.rows) // (1 + cls.pair)]  # the block's rows of the tabulated lines
                 if cls.pair:  # column (l, m) goes on with the trace of (l, -m), signed
-                    np.multiply(np.concatenate([trace[:, at], trace[:, 2 * ell - at] * cls.signs[lo:hi]]),
+                    np.multiply(np.concatenate([lines[:, at], lines[:, 2 * ell - at] * cls.signs[lo:hi]]),
                                 cls.rows[:, None], out=cls.table[:, lo:hi])
-                else:  # the whole degree (order 1) needs no copy
-                    np.multiply(trace if hi - lo == 2 * ell + 1 else trace[:, at], cls.rows[:, None],
+                else:  # the whole degree (order 1, unfolded) needs no copy
+                    np.multiply(lines if hi - lo == 2 * ell + 1 else lines[:, at], cls.rows[:, None],
                                 out=cls.table[:, lo:hi])
         self._ell_max = ell_max
         counts = [np.searchsorted(cls.columns, (ell_max + 1) ** 2) for cls in self._classes]
-        used = [(cls, n) for cls, n in zip(self._classes, counts) if n]  # a class without columns has no block
-        if self._order == 1:
+        used = [(cls, n) for cls, n in zip(self._classes, counts) if n]  # a block without columns is left out
+        if len(self._classes) == 1:  # the whole matrix on every node
             ((cls, n),) = used
             return LsqProblem.from_matrix(cls.table[:, :n], cls.rhs[0] if self._single else cls.rhs, self._sqrt_w)
 
         def residuals(i, c):
             spectrum = np.zeros((self._shape[0], self._order // 2 + 1, self._shape[1]), dtype=complex)
             for cls, n in used:
-                fit = cls.table[:, :n] @ c[cls.columns[:n]] / cls.rows  # the fit's class projection on sector 0
+                fit = cls.table[:, :n] @ c[cls.columns[:n]] / cls.rows  # the fit's class and parity on sector 0
                 half = len(fit) // 2
-                spectrum[:, cls.k] = ((fit[:half] - 1j * fit[half:]) / 2 if cls.pair else fit).reshape(self._shape)
+                fit = ((fit[:half] - 1j * fit[half:]) / 2 if cls.pair else fit).reshape(-1, self._shape[1])
+                spectrum[: len(fit), cls.k] += fit
+                spectrum[::-1][: self._pairs, cls.k] += cls.sign * fit[: self._pairs]  # the southern lines
             misfit = np.fft.irfft(self._order * spectrum, n=self._order, axis=1).reshape(-1) - self._values[i]
             return float(np.linalg.norm(misfit * self._sqrt_w)), float(np.max(np.abs(misfit)))
         return LsqProblem(tuple(Block(cls.table[:, :n], cls.rhs[:, :, None], cls.columns[:n, None]) for cls, n in used),

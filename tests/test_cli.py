@@ -651,10 +651,14 @@ def test_far_field_radius_on_band_limited_data_prints_nothing(tmp_path, capsys, 
     ({"data": dict(_POINT, q=1e308)}, cli.EXIT_CONFIG),
     ({"surface": {"preset": "cosine_bump", "params": {"a": 1.0, "delta": 0.2, "p": 10**200}},
       "data": dict(_POINT, z=[0.1, 0.0, 0.0])}, cli.EXIT_GEOMETRY),
-], ids=["data-norm", "overflowing-weights"])
+    ({"data": dict(_POINT, q=1e308), "bc": {"kind": "robin", "sigma": 1.0}}, cli.EXIT_CONFIG),
+    ({"surface": {"preset": "cosine_bump", "params": {"a": 1e-150, "delta": 0.2}},
+      "data": dict(_POINT, z=[0.0, 0.0, 0.0]), "bc": {"kind": "neumann"}}, cli.EXIT_CONFIG),
+], ids=["data-norm", "overflowing-weights", "overflowing-gradient", "underflowing-gradient"])
 def test_solve_that_fails_after_load_makes_no_directory(tmp_path, capsys, edits, code):
     # the output directories were made at load, before the data's norm (exit 2) or the rule's weights
-    # (exit 3) were checked, and out/sub was left behind
+    # (exit 3) were checked, and out/sub was left behind. A point source's gradient that overflows, or
+    # whose |x - z|^3 underflows, is data that is not finite; it printed a RuntimeWarning as well
     doc = base_config(**edits)
     assert cli.main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out" / "sub")]) == code
     assert not (tmp_path / "out").exists()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,14 +225,14 @@ def test_relative_residual_reported():
 def test_growing_system_matches_rebuild(bc, sigma, steps):
     # the loop grows one design matrix; each degree must solve exactly the system a fresh one-step
     # build for that degree gives. 3 divides the rule's 48 phi-lines: the loop's system is split into
-    # rotation classes, and so is the fresh one
+    # rotation classes, each folded by z -> -z, and so is the fresh one
     spec = G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3)
     rule = G.build_quadrature(spec, 24, 48)
     data = F.boundary_data_from_oracle(rule, F.PointSource([0.3, 0.0, 0.0]), bc, sigma)
     report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-14, L_max=12, **steps))
     assert [h.L for h in report.history][:2] == [steps.get("L_start", 2), steps.get("L_start", 2) + steps.get("L_step", 1)]
     for h in report.history:
-        sol = lsq.solve(lsq.GrowingSystem(rule, data.values, bc, sigma, 3).extend(h.L))
+        sol = lsq.solve(lsq.GrowingSystem(rule, data.values, bc, sigma, 3, True).extend(h.L))
         assert (h.residual_l2, h.rank, h.cond_estimate) == (sol.residual_l2, sol.rank, sol.cond_estimate)
         field = F.ExteriorField(spec.center, sol.coefficients, report.field.r_min, report.field.r_max)
         assert h.sup_residual == pytest.approx(F.sup_residual(rule, field, data), rel=1e-8)
@@ -330,13 +331,13 @@ def test_rule_about_another_center_is_refused():
     (G.SurfaceSpec.spheroid(1.0, 0.5), lsq.OrderSystem, 32, None),
     (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), lsq.GrowingSystem, 32, 1),
     (G.SurfaceSpec("custom", rho_fn=lambda t, f: 1.0 + 0.1 * np.cos(t) ** 2), lsq.GrowingSystem, 32, 1),
-    (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), lsq.GrowingSystem, 33, 2),
+    (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), lsq.GrowingSystem, 33, 4),
 ], ids=["spec0-OrderSystem", "spec1-OrderSystem", "spec2-GrowingSystem", "spec3-GrowingSystem",
         "cosine_bump-on-a-rule-3-divides"])
 def test_only_declared_surfaces_of_revolution_split_by_order(monkeypatch, spec, system, n_phi, blocks):
     # the declarations in geometry.PRESETS pick the system; a custom rho_fn declares nothing. The
     # order blocks of degree L are L + 1; the whole matrix is one block, and a 3-fold cosine_bump on a
-    # rule 3 divides is two, rotation class 0 and the pair of classes +-1
+    # rule 3 divides is four, rotation class 0 and the pair of classes +-1, each split by theta-parity
     assert spec.axisymmetric == (system is lsq.OrderSystem)
     solved, solve = [], lsq.solve
     monkeypatch.setattr(D.lsq, "solve", lambda p, *args: solved.append(len(p.blocks)) or solve(p, *args))
@@ -349,7 +350,8 @@ def test_only_declared_surfaces_of_revolution_split_by_order(monkeypatch, spec, 
 
 def test_a_64_lobed_bump_sends_no_empty_block_to_the_solve(monkeypatch):
     # on a rule 64 divides the rotation classes k > L have no harmonic of degree <= L: they get no block,
-    # where a zero-column block made lsq.solve raise IndexError on its first singular value
+    # where a zero-column block made lsq.solve raise IndexError on its first singular value. So has the odd
+    # theta-parity of class L, whose one degree has l + |m| = 2L
     spec = G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 64)
     rule = G.build_quadrature(spec, 22, 128)
     solved, solve = [], lsq.solve
@@ -357,8 +359,39 @@ def test_a_64_lobed_bump_sends_no_empty_block_to_the_solve(monkeypatch):
     data = F.boundary_data_from_oracle(rule, F.PointSource([0.3, 0.0, 0.0]))
     report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-12, L_max=20))
     assert [h.L for h in report.history] == list(range(2, 21))
-    assert [len(p.blocks) for p in solved] == [h.L + 1 for h in report.history]  # classes 0..L of 0..32
+    assert [len(p.blocks) for p in solved] == [2 * h.L + 1 for h in report.history]  # classes 0..L of 0..32
     assert all(b.matrix.shape[1] > 0 for p in solved for b in p.blocks)
+
+
+def test_a_rule_no_rotation_divides_is_one_unfolded_block(monkeypatch):
+    # 3 does not divide the 82 phi-lines of the floor's rule: its system stays the whole matrix, on every node,
+    # although cosine_bump also declares the mirror z -> -z
+    spec = G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3)
+    assert spec.z_mirror and spec.rotation_order == 3
+    rule = G.build_quadrature(spec, 42, 82)
+    solved, solve = [], lsq.solve
+    monkeypatch.setattr(D.lsq, "solve", lambda p, *args: solved.append(p) or solve(p, *args))
+    report = D.run_mrc(spec, rule, F.boundary_data_from_oracle(rule, F.PointSource([0.3, 0.0, 0.0])),
+                       D.MrcConfig(epsilon=1e-4, L_max=8))
+    assert report.termination == D.CONVERGED
+    assert [[b.matrix.shape for b in p.blocks] for p in solved] == [[(rule.n_nodes, (h.L + 1) ** 2)]
+                                                                    for h in report.history]
+
+
+def test_the_loop_reserves_its_table_for_its_own_top_degree():
+    # the system's table is sized by the loop's L_max: on a 130 x 260 rule the rule's own degree, 64,
+    # reserved 33800 x 4225 doubles (1.14 GB) for a loop that stops at 12. 3 does not divide 260: the whole matrix
+    spec = G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3)
+    rule = G.build_quadrature(spec, 130, 260)
+    data = F.boundary_data_from_oracle(rule, F.PointSource([0.3, 0.0, 0.0]))
+    tracemalloc.start()
+    try:
+        report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-3, L_max=12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.termination == D.CONVERGED
+    assert peak <= 200e6
 
 
 @pytest.mark.parametrize("second", [

@@ -112,6 +112,40 @@ def test_auto_rule_rounds_n_phi_up_to_the_rotation_order(monkeypatch, spec, L_ma
     assert G.auto_quadrature(spec, L_max) == shape
 
 
+MIRROR_SAMPLES = {  # each preset with parameters to check its declarations on
+    "sphere": [G.SurfaceSpec.sphere(1.2)],
+    "spheroid": [G.SurfaceSpec.spheroid(1.0, 0.5), G.SurfaceSpec.spheroid(2.0, -0.3)],
+    "cosine_bump": [G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), G.SurfaceSpec.cosine_bump(1.5, -0.4, 3, 5)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(G.PRESETS))
+def test_a_declared_z_mirror_holds(kind):
+    # a fold by z -> -z (theta -> pi - theta) needs rho even in theta about pi/2, so d rho/d theta odd
+    # and d rho/d phi even; a custom surface declares nothing
+    rng = np.random.default_rng(7)
+    theta, phi = rng.uniform(0.0, np.pi, 200), rng.uniform(0.0, 2.0 * np.pi, 200)
+    for spec in MIRROR_SAMPLES[kind]:
+        assert spec.z_mirror == G.PRESETS[kind].z_mirror
+        if spec.z_mirror:
+            (r, r_t, r_p), (m, m_t, m_p) = ((spec.rho(t, phi), *spec.rho_derivatives(t, phi))
+                                            for t in (theta, np.pi - theta))
+            assert np.allclose(m, r, rtol=1e-14, atol=0.0)
+            assert np.allclose(m_t, -r_t, rtol=0.0, atol=1e-14 * np.max(r))
+            assert np.allclose(m_p, r_p, rtol=0.0, atol=1e-14 * np.max(r))
+    assert not G.SurfaceSpec("custom", rho_fn=lambda t, f: 1.0 + 0.0 * t).z_mirror
+
+
+def test_each_gauss_legendre_size_is_computed_once_and_shared_read_only():
+    theta, _, weights = G.sphere_grid(12, 24)
+    lines = G._gauss_legendre_lines(12)
+    assert G._gauss_legendre_lines(12) is lines
+    assert all(not a.flags.writeable for a in lines)
+    assert np.array_equal(theta[::24], lines[0]) and np.array_equal(weights[::24], lines[1] * (2.0 * np.pi / 24))
+    x, w = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(np.sort(np.arccos(x)), lines[0]) and np.array_equal(w[::-1], lines[1])
+
+
 def test_every_auto_rule_fits_under_the_size_cap(monkeypatch):
     # rounding n_phi up to a rotation order p <= n_phi leaves it below 2 n_phi: at most 66 x 258 at L_max = 64
     monkeypatch.setattr(G, "build_quadrature", lambda spec, n_theta, n_phi: (n_theta, n_phi))
