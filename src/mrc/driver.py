@@ -12,8 +12,9 @@ azimuthal order, and the n_nodes x (L+1)^2 matrix of lsq.GrowingSystem is
 never built. Any other surface is grown as lsq.GrowingSystem with the
 order g = gcd(spec.rotation_order, n_phi) of the rule: one block per
 rotation class when g > 1 (a p-fold cosine_bump on a rule p divides), each
-split in two by theta-parity when the spec also declares the mirror
-z -> -z (spec.z_mirror), the whole matrix when g = 1; its tables are
+split by theta-parity and by phi -> -phi when the spec also declares the
+mirrors z -> -z and y -> -y (spec.mirrors), on half a sector of the
+northern theta-lines; the whole matrix when g = 1. Its tables are
 reserved for the run's L_max, not the rule's top degree. One lsq.solve
 body factors the blocks of either.
 One rule, stop, ends a vector's history at an epsilon: at the first row <= epsilon
@@ -170,7 +171,7 @@ def run_mrc_grid(spec: geometry.SurfaceSpec, rule: geometry.QuadratureRule, data
     values = np.stack([d.values for d in data])
     g = math.gcd(spec.rotation_order, rule.n_phi)
     system = (lsq.OrderSystem(rule, values, data[0].bc, data[0].sigma) if spec.axisymmetric else
-              lsq.GrowingSystem(rule, values, data[0].bc, data[0].sigma, g, spec.z_mirror and g > 1, L_max))
+              lsq.GrowingSystem(rule, values, data[0].bc, data[0].sigma, g, spec.mirrors and g > 1, L_max))
     r_min, r_max = geometry.radius_bounds(spec)
     if r_min < np.finfo(float).tiny ** (1.0 / (L_max + 2)):  # r_min^(L_max+2), a column's divisor, underflows
         raise GeometryError(f"the surface is too small: its inscribed radius {r_min} to the power L_max + 2 = "

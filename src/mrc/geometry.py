@@ -30,7 +30,7 @@ class Preset(NamedTuple):
     checks: tuple  # (predicate(**params), what it requires) pairs
     axisymmetric: bool = False  # rho does not depend on phi: a surface of revolution about the z-axis through center
     rotation_order: Callable = lambda **params: 1  # p = rotation_order(**params): rho is p-fold symmetric about it
-    z_mirror: bool = False  # rho(pi - theta, phi) = rho(theta, phi): z -> -z through center maps it to itself
+    mirrors: bool = False  # rho(pi - theta, phi) = rho(theta, -phi) = rho(theta, phi): z -> -z, y -> -y keep it
 
 
 def _shape(theta, phi):
@@ -47,7 +47,7 @@ PRESETS = {
         lambda a: (a, a),
         (_A_POSITIVE,),
         axisymmetric=True,
-        z_mirror=True,
+        mirrors=True,
     ),
     "spheroid": Preset(
         {"a": None, "e": None},
@@ -56,7 +56,7 @@ PRESETS = {
         lambda a, e: (min(a, a * (1.0 + e)), max(a, a * (1.0 + e))),  # at the equator and the poles
         (_A_POSITIVE, (lambda e, **_: e > -1, "eccentricity e > -1")),
         axisymmetric=True,
-        z_mirror=True,
+        mirrors=True,
     ),
     "cosine_bump": Preset(
         {"a": None, "delta": None, "k": 2, "p": 3},
@@ -69,7 +69,7 @@ PRESETS = {
         (_A_POSITIVE, (lambda k, **_: k >= 1, "exponent k >= 1"), (lambda p, **_: p >= 1, "azimuthal order p >= 1"),
          (lambda delta, **_: abs(delta) < 1, "amplitude |delta| < 1")),
         rotation_order=lambda p, **_: p,
-        z_mirror=True,
+        mirrors=True,
     ),
 }
 
@@ -128,10 +128,10 @@ class SurfaceSpec:
         return 1 if self.kind == "custom" else PRESETS[self.kind].rotation_order(**self.params)
 
     @property
-    def z_mirror(self) -> bool:
-        """Whether the preset declares the surface invariant under the mirror z -> -z through the center
-        (theta -> pi - theta): every preset does; a custom surface does not."""
-        return self.kind != "custom" and PRESETS[self.kind].z_mirror
+    def mirrors(self) -> bool:
+        """Whether the preset declares the surface invariant under the mirrors z -> -z and y -> -y through the
+        center (theta -> pi - theta, phi -> -phi): every preset does; a custom surface does not."""
+        return self.kind != "custom" and PRESETS[self.kind].mirrors
 
     # -- radial function and derivatives -------------------------------
 

@@ -7,25 +7,32 @@ truncated SVD: small matrices and severe ill-conditioning on nonspherical
 surfaces. A is first reduced by a Householder QR and the SVD taken of its
 R, so A's m x n left factor is never built. A is stored column-major:
 numpy's raw QR returns the transpose of a copy in A's layout, so each
-stored reflector is a contiguous row. One factorisation serves every
-data vector; a block holds a data vector's copies (below) as the columns
-of one right-hand side, the layout the reflectors act on. One stacked
-pass reflects every data vector of all blocks with equal rows and copies,
-each data vector its own item of every product, so a fit is the same to
-the last bit alone or among others. The retained singular values are a
-sorted prefix: the factors are sliced.
+stored reflector is a contiguous row. The blocks with equal rows and
+copies (below) are factored as one stack, each zero-padded to the widest:
+LAPACK leaves a zero column out of every reflection and gives it tau = 0,
+so each block's reflectors are its own to the last bit (to rounding where
+the padding crosses dgeqrf's blocking crossover, 128). One factorisation
+serves every data vector; a block holds a data vector's copies as the
+columns of one right-hand side, the layout the reflectors act on. One
+stacked pass reflects every data vector of a group of blocks, each data
+vector its own item of every product, so a fit is the same to the last
+bit alone or among others. The retained singular values are a sorted
+prefix: the factors are sliced.
 
 Every system is a tuple of blocks, solved by one body: a GrowingSystem
 is one block, the whole matrix, unless its surface is declared invariant
 under rotations by 2*pi/g about the z-axis and g divides the rule's n_phi;
 then it is one block per rotation class (the orders m = +-k mod g), built
-from one sector of the rule, and on a surface also declared invariant under
-z -> -z each class is split in two by the parity of l + |m|, built from the
-sector's northern theta-lines. On a surface of revolution the system is
-block-diagonal in the azimuthal order m, and OrderSystem builds one
-small block per |m|, shared by m and -m. Each block is factored as
-above, and both residuals are recomputed by the system itself from the
-flat coefficients, on every node.
+from one sector of the rule. On a surface also declared invariant under
+the mirrors z -> -z and y -> -y, each class is split by the parity of
+l + |m| and by phi -> -phi, built from the sector's northern theta-lines
+and its half up to the plane phi = pi/g: classes 0 and g/2 into cos-type
+and sin-type blocks, and each pair of classes +-k into one block serving
+two copies, the cos-type and the sin-type columns. On a surface of
+revolution the system is block-diagonal in the azimuthal order m, and
+OrderSystem builds one small block per |m|, shared by m and -m. Each block
+is factored as above, and both residuals are recomputed by the system
+itself from the flat coefficients, on every node.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ class Block:
     matrix: np.ndarray  # (n_rows, n_cols)
     rhs: np.ndarray  # (n_data, n_rows, n_copies): each data vector's right-hand side, one column per copy
     columns: np.ndarray  # (n_cols, n_copies): each copy's flat coefficient indices, one column per copy
+    signs: np.ndarray | None = None  # (n_cols, n_copies): each copy's sign of its fit in its coefficient; None: +1
 
 
 @dataclass(frozen=True)
@@ -112,18 +120,27 @@ def _checked_data(rule, values, bc: str, sigma: float) -> np.ndarray:
     return values
 
 
-class _RotationClass(NamedTuple):
-    """One block of a GrowingSystem: the orders m = +-k (mod g) of one theta-parity, with its rows on sector 0."""
+class _ClassBlock(NamedTuple):
+    """One block of a GrowingSystem: the orders m = +-k (mod g) of one theta-parity and, under the mirrors, of one
+    phi-parity, or, for a pair of classes, of both as two copies; its rows are on the tabulated nodes."""
 
     k: int
-    pair: bool  # k and -k are two classes, fitted as one real block with twice sector 0's rows
-    sign: float  # the parity's sign on a southern line: +1 for even l + |m| (or every column, unfolded), -1 for odd
-    rows: np.ndarray  # each row's scaling: sqrt(g w) of its sector-0 node, times sqrt(2) on a folded line and
-    # over sqrt(2) in a pair
+    pair: bool  # k and -k are two classes: one real block, of the real and imaginary parts of class k's function
+    sign: float  # the theta-parity's sign on a southern line: +1 for even l + |m| (or unfolded), -1 for odd
+    parities: np.ndarray  # each copy's phi-parity: +1 for m >= 0 (or every column, unfolded), -1 for m < 0
+    re: slice | np.ndarray  # the tabulated nodes of the rows of the function (of its real part, in a pair)
+    im: np.ndarray  # the nodes of a pair's rows of the imaginary part: every node unfolded, else those off both planes
+    turn: np.ndarray  # the nodes on the plane phi = pi/g whose real-part rows are of the turned function
+    rows: np.ndarray  # each row's scaling: sqrt(g w) of its node, sqrt(2) more per mirror image, over sqrt(2) in a pair
     table: np.ndarray  # the columns up to the system's top degree, column-major
-    rhs: np.ndarray  # (n_data, n_rows): each data vector's projection onto the class and parity, scaled
-    columns: np.ndarray  # each column's flat index, increasing
-    signs: np.ndarray  # a pair's sign of the trace of (l, -m) in column (l, m): -s for m > 0, s for m < 0
+    rhs: np.ndarray  # (n_data, n_rows, n_copies): each data vector's projection onto the block, scaled
+    columns: np.ndarray  # (n_cols, n_copies): each column's flat index per copy, increasing in the first copy
+    partner_signs: np.ndarray  # a pair's sign of the trace of (l, -m) in the imaginary-part rows of column (l, m)
+
+    def copy_signs(self, n):
+        """(n, 2): a folded pair's sign of each copy's fit in its first n coefficients, 1 and s = -partner_signs
+        (its columns have m > 0); None for a block of one copy."""
+        return np.column_stack([np.ones(n), -self.partner_signs[:n]]) if self.columns.shape[1] == 2 else None
 
 
 class GrowingSystem:
@@ -136,72 +153,112 @@ class GrowingSystem:
     max_degree); each `extend` draws from node_blocks only the degrees not seen yet and
     writes their columns in place, and returns views: no column is built twice or copied.
 
-    With `order` g > 1 the surface is declared invariant under rotations by 2*pi/g about the z-axis
-    through the rule's center, and g divides n_phi: sector s, the phi-lines s*n_phi/g .. (s+1)*n_phi/g - 1
-    of every theta-line, is sector 0 rotated s times. The system is then block-diagonal in the rotation
-    classes, and node_blocks runs on sector 0 only. Class 0 (the orders m = 0 mod g) and, for even g,
-    class g/2 are one block each, rows sqrt(g w) times the trace; each pair of classes +-k is one block
-    with twice sector 0's rows, scaled sqrt(g w / 2): with X, X' the traces of (l, |m|), (l, -|m|),
-    column (l, |m|) is [X; -s X'] and column (l, -|m|) is [X'; s X], s = +1 if |m| = k (mod g), else -1.
-    The data vectors are projected onto the classes by a length-g real FFT across the sectors, d_k, with
-    [2 Re d_k; -2 Im d_k] for a pair.
+    With `order` g > 1 the surface is declared invariant under rotations by 2*pi/g about the z-axis through the
+    rule's center, and g divides n_phi: sector s, the n_s = n_phi/g phi-lines s*n_s .. (s+1)*n_s - 1 of every
+    theta-line, is sector 0 rotated s times. The system is then block-diagonal in the rotation classes, and
+    node_blocks runs on sector 0 only. The data vectors are projected onto the classes by a length-g real FFT
+    across the sectors: d_k on sector 0, with d_k(phi + 2*pi/g) = w d_k(phi), w = exp(2*pi*i*k/g). Class 0 (the
+    orders m = 0 mod g) and, for even g, class g/2 are one block each, rows sqrt(g w) times the trace; each pair
+    of classes +-k is one block with rows [2 Re d_k; -2 Im d_k], scaled sqrt(g w / 2): with X, X' the traces of
+    (l, |m|), (l, -|m|), column (l, |m|) is [X; -s X'] and column (l, -|m|) is [X'; s X], s = +1 if |m| = k
+    (mod g), else -1.
 
-    With `mirror` the surface is also declared invariant under z -> -z through the center, and the rule's
-    theta-lines pair up as theta_i, pi - theta_i (a ValueError if they do not). h_lm then has the parity
-    (-1)^(l + |m|) under the mirror, its normal derivative too, so each class splits in two by l + |m| mod 2,
-    and node_blocks runs on sector 0's northern theta-lines, plus the equator line when n_theta is odd.
-    A northern line's rows are scaled by a further sqrt(2); the equator line serves the even block only,
-    and the data vectors are folded into (d_i +- d_{n_theta-1-i}) / 2. Unfolded, each class is one block
-    on every theta-line: the case of one parity with no paired line. A block with no harmonic of degree
-    <= L is left out; its data stay in the misfit, as both residuals are measured on every node, from
-    the fit synthesised there (a southern line is even - odd) by the inverse FFT. g = 1 unfolded is the
-    whole matrix, one block, with the misfit A c - b.
+    With `mirror` the surface is also declared invariant under z -> -z and y -> -y through the center; the
+    rule's theta-lines pair up as theta_i, pi - theta_i, and its weights are mirrored too (a ValueError if not).
+    h_lm and its normal derivative then have the parity (-1)^(l + |m|) under z -> -z, and +1 (m >= 0) or -1
+    (m < 0) under phi -> -phi. Each class splits in two by l + |m| mod 2: node_blocks runs on sector 0's
+    northern theta-lines, plus the equator line when n_theta is odd, which serves the even blocks only, and the
+    data fold into (d_i +- d_{n_theta-1-i}) / 2. In phi it runs on the half sector j = 0 .. n_s/2, from the plane
+    phi = 0 to the plane phi = pi/g, and the data fold across j <-> n_s - j with the class's rotation phase: the
+    mirrored data's class function is w conj(d_k[n_s - j]), so G+- = (d_k +- w conj(d_k[n_s - j])) / 2. A line
+    that stands for itself and its mirror line carries a further sqrt(2). Classes 0 and g/2 split into a
+    cos-type (m >= 0) block of G+ and a sin-type (m < 0) block of G-, each without the plane lines where its
+    function vanishes (phi = 0 for G-; phi = pi/g for G- of class 0 and G+ of class g/2). A pair is one block
+    serving two copies, as OrderSystem's order blocks do: its cos-type columns (l, |m|) fit G+, and, as i G- has
+    G+'s symmetry, the same matrix fits i G- with the sin-type columns (l, -|m|), whose coefficients are s times
+    that fit. Its rows are the real parts on the half sector and the imaginary parts off the planes; on the
+    plane phi = pi/g, where G+ / exp(i*pi*k/g) is real, the real part of that: n_s rows per theta-line.
+    Unfolded, each class is one block on every node: the case of one parity entry and no mirror line. A block
+    with no harmonic of degree <= L is left out; its data stay in the misfit, as both residuals are measured
+    on every node, from the fit synthesised there (unfolded in phi, and in theta: a southern line is even - odd)
+    by the inverse FFT. g = 1 unfolded is the whole matrix, one block, with the misfit A c - b.
     """
 
     def __init__(self, rule, values: np.ndarray, bc: str, sigma: float, order: int = 1, mirror: bool = False,
                  L_max: int = ELL_MAX):
         values = _checked_data(rule, values, bc, sigma)
-        if not (order >= 1 and rule.n_phi % order == 0
-                and (order == 1 or np.array_equal(rule.phi_line, uniform_phi_line(rule.n_phi)))):
+        uniform = np.array_equal(rule.phi_line, uniform_phi_line(rule.n_phi))
+        if not (order >= 1 and rule.n_phi % order == 0 and (order == 1 or uniform)):
             raise ValueError(f"rotation order {order} needs a rule on uniform phi-lines whose n_phi it divides")
         weights = rule.weights.reshape(rule.n_theta, rule.n_phi)
-        if mirror and not (np.allclose(rule.theta_line + rule.theta_line[::-1], np.pi, rtol=0.0, atol=1e-13)
-                           and np.allclose(weights, weights[::-1], rtol=1e-12, atol=0.0)):
-            raise ValueError("a fold by z -> -z needs theta-lines and weights mirrored through the equator")
+        if mirror and not (uniform and np.allclose(rule.theta_line + rule.theta_line[::-1], np.pi, rtol=0.0, atol=1e-13)
+                           and np.allclose(weights, weights[::-1], rtol=1e-12, atol=0.0)
+                           and np.allclose(weights, weights[:, -np.arange(rule.n_phi)], rtol=1e-12, atol=0.0)):
+            raise ValueError("a fold by the mirrors needs theta-lines and weights mirrored through the equator, "
+                             "and uniform phi-lines with weights mirrored by phi -> -phi")
+        g, n_s = order, rule.n_phi // order
         self._bc, self._sigma, self._order = bc, sigma, order
         self._ell_cap = min(max_degree(rule.n_theta, rule.n_phi), ELL_MAX, L_max)
         self._pairs = rule.n_theta // 2 if mirror else 0  # the northern lines, each folded with its mirror line
         lines = rule.n_theta - self._pairs  # the tabulated theta-lines: the northern ones, then the unpaired
-        self._shape = (rule.n_theta, rule.n_phi // order)  # the theta-lines and sector 0's phi-lines
-        def sector(a):  # sector 0's nodes on the tabulated lines: a view of the whole array if unsplit
-            return a.reshape(rule.n_theta, order, -1, *a.shape[1:])[:lines, 0].reshape(-1, *a.shape[1:])
+        half = n_s // 2 + 1 if mirror else n_s  # the tabulated phi-lines: sector 0's, or its half up to phi = pi/g
+        self._inner = np.arange(1, (n_s + 1) // 2) if mirror else np.arange(0)  # the phi-lines off both planes
+        self._shape = (rule.n_theta, n_s, half)
+        self._omegas = np.array([np.exp(2j * np.pi * k / g) if 0 < 2 * k < g else 1.0 - 2.0 * (k > 0)
+                                 for k in range(g // 2 + 1)])  # each class's rotation phase: +-1 for classes 0, g/2
+        def sector(a):  # the tabulated nodes: a view of the whole array if unsplit
+            return a.reshape(rule.n_theta, g, n_s, *a.shape[1:])[:lines, 0, :half].reshape(-1, *a.shape[1:])
         sector_rule = replace(rule, theta=sector(rule.theta), phi=sector(rule.phi), points=sector(rule.points),
-                              normals=sector(rule.normals), weights=sector(rule.weights), n_theta=lines,
-                              n_phi=self._shape[1])
+                              normals=sector(rule.normals), weights=sector(rule.weights), n_theta=lines, n_phi=half)
         self._blocks = node_blocks(self._ell_cap, sector_rule, gradients=bc != DIRICHLET)
         self._single = values.ndim == 1
         self._values = values.reshape(-1, rule.n_nodes)
         self._sqrt_w = np.sqrt(rule.weights)
         ells = degrees(self._ell_cap)
         orders = np.arange(len(ells)) - ells * (ells + 1)  # the order m of each flat column
-        residue = np.abs(orders) % order
+        residue = np.abs(orders) % g
         parity = (ells + np.abs(orders)) % 2 if mirror else 0
-        scale = order * sector_rule.weights.reshape(lines, -1)
+        scale = g * sector_rule.weights.reshape(lines, half)
         scale[: self._pairs] *= 2  # a folded line stands for itself and its mirror
-        sectors = self._values.reshape(-1, rule.n_theta, order, self._shape[1])
-        spectrum = np.fft.rfft(sectors, axis=2) / order if order > 1 else sectors  # [i, theta-line, k, phi-line]
+        scale[:, self._inner] *= 2
+        sectors = self._values.reshape(-1, rule.n_theta, g, n_s)
+        spectrum = np.fft.rfft(sectors, axis=2) / g if g > 1 else sectors  # [i, theta-line, k, phi-line]
         self._classes = []
-        for k, sign in itertools.product(range(order // 2 + 1), (1.0, -1.0) if mirror else (1.0,)):
-            pair, n_lines = 0 < 2 * k < order, lines if sign > 0 else self._pairs
-            rows = np.tile(np.sqrt(scale[:n_lines].ravel() / (2 if pair else 1)), 1 + pair)
-            d = spectrum[:, :, k]
+        for k, sign in itertools.product(range(g // 2 + 1), (1.0, -1.0) if mirror else (1.0,)):
+            pair, n_lines = 0 < 2 * k < g, lines if sign > 0 else self._pairs
+            omega = self._omegas[k] if pair else self._omegas[k].real
+            d = spectrum[:, :, k] if pair else spectrum[:, :, k].real
             folded = (d[:, : self._pairs] + sign * d[:, ::-1][:, : self._pairs]) / 2  # (d_i +- d_{n_theta-1-i}) / 2
-            d = np.concatenate([folded, d[:, self._pairs : lines]], axis=1)[:, :n_lines].reshape(len(self._values), -1)
-            columns = np.flatnonzero((np.minimum(residue, order - residue) == k) & (parity == (sign < 0)))
-            self._classes.append(_RotationClass(
-                k, pair, sign, rows, np.empty((len(rows), len(columns)), order="F"),
-                (np.concatenate([2 * d.real, -2 * d.imag], axis=1) if pair else d.real) * rows, columns,
-                np.where(residue[columns] == k, -1.0, 1.0) * np.sign(orders[columns])))
+            d = np.concatenate([folded, d[:, self._pairs : lines]], axis=1)[:, :n_lines, :, None]
+            if mirror:  # the mirrored data's class function w conj(d[n_s - j]); at phi = 0, conj(d[0])
+                image = omega * np.conj(d[:, :, -np.arange(n_s)])
+                image[:, :, 0] = np.conj(d[:, :, 0])
+            node = np.arange(n_lines * half).reshape(n_lines, half)
+            in_class = (np.minimum(residue, g - residue) == k) & (parity == (sign < 0))
+            for parities in ((1, -1),) if pair and mirror else ((1,), (-1,)) if mirror else ((1,),):
+                tau = np.array(parities, dtype=float)
+                a = (d[:, :, :half] + tau * image[:, :, :half]) / 2 if mirror else d  # G+-, or d_k unfolded
+                cos = np.flatnonzero(in_class & ((orders >= 0) == (tau[0] > 0) if mirror else True))
+                columns = np.column_stack([cos, cos - 2 * orders[cos]])[:, : len(tau)]  # a pair's copies (l, +-|m|)
+                s = np.where(residue[cos] == k, 1.0, -1.0)  # +1 if |m| = k (mod g)
+                scaled = scale[:n_lines].ravel() / (2 if pair else 1)
+                if pair:
+                    a = a * np.array([1, 1j])[: len(tau)]  # the copies G+ and i G-, or d_k unfolded
+                    re, im = slice(0, node.size), node[:, self._inner].ravel() if mirror else node.ravel()
+                else:
+                    kept = [j for j in range(half) if j in self._inner or tau[0] * omega ** (2 * j == n_s) > 0]
+                    re = node[:, kept].ravel() if mirror else slice(0, node.size)
+                    im = node[:, :0].ravel()
+                block = _ClassBlock(
+                    k, pair, sign, tau, re, im,
+                    node[:, n_s // 2] if pair and mirror and n_s % 2 == 0 else node[:, :0].ravel(),
+                    np.sqrt(np.concatenate([scaled[re], scaled[im]])), None, None, columns,
+                    -s * np.sign(orders[cos]))
+                flat = a.reshape(len(a), node.size, len(tau)).transpose(1, 0, 2)  # [node, i, copy]
+                rhs = self._rows_of(block, 2 * flat.real, -2 * flat.imag) if pair else self._rows_of(block, flat, None)
+                self._classes.append(block._replace(
+                    table=np.empty((len(block.rows), len(columns)), order="F"),
+                    rhs=(rhs * block.rows[:, None, None]).transpose(1, 0, 2)))
         self._ell_max = -1
 
     def extend(self, ell_max: int) -> LsqProblem:
@@ -211,34 +268,57 @@ class GrowingSystem:
         for ell, (v, dn) in enumerate(itertools.islice(self._blocks, ell_max - self._ell_max), self._ell_max + 1):
             trace = bc_trace(self._bc, self._sigma, v, dn)
             for cls in self._classes:
-                lo, hi = np.searchsorted(cls.columns, [ell * ell, (ell + 1) ** 2])
-                at = cls.columns[lo:hi] - ell * ell  # the block's columns of this degree, at l + m
-                lines = trace[: len(cls.rows) // (1 + cls.pair)]  # the block's rows of the tabulated lines
-                if cls.pair:  # column (l, m) goes on with the trace of (l, -m), signed
-                    np.multiply(np.concatenate([lines[:, at], lines[:, 2 * ell - at] * cls.signs[lo:hi]]),
-                                cls.rows[:, None], out=cls.table[:, lo:hi])
-                else:  # the whole degree (order 1, unfolded) needs no copy
-                    np.multiply(lines if hi - lo == 2 * ell + 1 else lines[:, at], cls.rows[:, None],
-                                out=cls.table[:, lo:hi])
+                lo, hi = np.searchsorted(cls.columns[:, 0], [ell * ell, (ell + 1) ** 2])
+                at = cls.columns[lo:hi, 0] - ell * ell  # the block's columns of this degree, at l + m
+                own = trace if hi - lo == 2 * ell + 1 else trace[:, at]  # the whole degree (order 1, unfolded): no copy
+                partner = trace[:, 2 * ell - at] * cls.partner_signs[lo:hi] if cls.pair else None
+                np.multiply(self._rows_of(cls, own, partner), cls.rows[:, None], out=cls.table[:, lo:hi])
         self._ell_max = ell_max
-        counts = [np.searchsorted(cls.columns, (ell_max + 1) ** 2) for cls in self._classes]
+        counts = [np.searchsorted(cls.columns[:, 0], (ell_max + 1) ** 2) for cls in self._classes]
         used = [(cls, n) for cls, n in zip(self._classes, counts) if n]  # a block without columns is left out
         if len(self._classes) == 1:  # the whole matrix on every node
             ((cls, n),) = used
-            return LsqProblem.from_matrix(cls.table[:, :n], cls.rhs[0] if self._single else cls.rhs, self._sqrt_w)
+            return LsqProblem.from_matrix(cls.table[:, :n], cls.rhs[..., 0][0] if self._single else cls.rhs[..., 0],
+                                          self._sqrt_w)
 
         def residuals(i, c):
-            spectrum = np.zeros((self._shape[0], self._order // 2 + 1, self._shape[1]), dtype=complex)
+            n_theta, n_s, half = self._shape
+            lines = n_theta - self._pairs
+            parts = np.zeros((2, 2, lines, len(self._omegas), half), dtype=complex)  # [theta-, phi-parity, line, k, j]
             for cls, n in used:
-                fit = cls.table[:, :n] @ c[cls.columns[:n]] / cls.rows  # the fit's class and parity on sector 0
-                half = len(fit) // 2
-                fit = ((fit[:half] - 1j * fit[half:]) / 2 if cls.pair else fit).reshape(-1, self._shape[1])
-                spectrum[: len(fit), cls.k] += fit
-                spectrum[::-1][: self._pairs, cls.k] += cls.sign * fit[: self._pairs]  # the southern lines
+                signs = cls.copy_signs(n)
+                y = c[cls.columns[:n]] if signs is None else c[cls.columns[:n]] * signs
+                fit = cls.table[:, :n] @ y / cls.rows[:, None]  # each copy's rows of the fit
+                n_lines = lines if cls.sign > 0 else self._pairs  # the block's tabulated theta-lines
+                a = np.zeros((n_lines * half, fit.shape[1]), dtype=complex)  # its function on the tabulated nodes
+                a[cls.re] = fit[: len(fit) - len(cls.im)]
+                if cls.pair:
+                    a[cls.im] -= 1j * fit[len(fit) - len(cls.im) :]
+                    a[cls.turn] *= self._phase(cls)
+                    a *= np.array([0.5, -0.5j])[: fit.shape[1]]  # a / 2: d_k unfolded, else G+ and G- = -i (i G-)
+                parts[int(cls.sign < 0), 1 * (cls.parities < 0), :n_lines, cls.k] += np.moveaxis(
+                    a.reshape(n_lines, half, -1), 2, 0)
+            fits = np.zeros((2, lines, len(self._omegas), n_s), dtype=complex)  # each theta-parity's on sector 0
+            fits[..., :half] = parts.sum(axis=1)
+            fits[..., n_s - self._inner] = self._omegas[:, None] * np.conj(parts[:, 0] - parts[:, 1])[..., self._inner]
+            spectrum = np.concatenate([fits[0] + fits[1], (fits[0] - fits[1])[: self._pairs][::-1]])  # north, south
             misfit = np.fft.irfft(self._order * spectrum, n=self._order, axis=1).reshape(-1) - self._values[i]
             return float(np.linalg.norm(misfit * self._sqrt_w)), float(np.max(np.abs(misfit)))
-        return LsqProblem(tuple(Block(cls.table[:, :n], cls.rhs[:, :, None], cls.columns[:n, None]) for cls, n in used),
-                          residuals, self._single)
+        return LsqProblem(tuple(Block(cls.table[:, :n], cls.rhs, cls.columns[:n], cls.copy_signs(n))
+                                for cls, n in used), residuals, self._single)
+
+    def _phase(self, cls):
+        """exp(i pi k/g), by which a folded pair's function is turned on the plane phi = pi/g."""
+        return np.exp(1j * np.pi * cls.k / self._order)
+
+    def _rows_of(self, cls, real, imag):
+        """A block's rows (axis 0) from the values on the tabulated nodes of a function (its real part, and in a
+        pair its imaginary part negated); a folded pair's rows on the plane phi = pi/g are of the turned function."""
+        if not cls.pair:
+            return real[cls.re]
+        rows, phase = np.concatenate([real[cls.re], imag[cls.im]]), self._phase(cls)
+        rows[cls.turn] = phase.real * real[cls.turn] - phase.imag * imag[cls.turn]
+        return rows
 
 
 class OrderSystem:
@@ -319,36 +399,37 @@ def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
     Singular values below svd_rtol * sigma_max of all blocks are discarded; the solution is the
     minimum-norm minimizer over the retained subspace. Rank and condition number are those of
     the union of the blocks' singular values, each block counted once per copy: the singular
-    values of the whole system. Every data vector and copy of a group of blocks with equal (rows,
-    copies) is reflected in one stacked pass, each data vector its own item of every product, so a
-    fit is bit-equal alone or among others; the reflectors die before the SVDs. Both residuals are
-    recomputed by the problem from the returned coefficients. A LAPACK failure is a SolverError.
+    values of the whole system. A group of blocks with equal (rows, copies) is factored as one
+    zero-padded stack, and every data vector and copy of it is reflected in one stacked pass, each
+    data vector its own item of every product, so a fit is bit-equal alone or among others; a copy's
+    fit enters its coefficients times the block's signs. The reflectors die before the SVDs. Both
+    residuals are recomputed by the problem from the returned coefficients. A LAPACK failure is a
+    SolverError.
     """
     if sum(block.matrix.size for block in problem.blocks) == 0:
         raise SolverError("empty system")
     try:
-        factors = []
-        for block in problem.blocks:
+        groups, qtbs, rs = {}, {}, {}  # block indices by (rows, copies); each block's Q^T b of every data vector, and R
+        for b, block in enumerate(problem.blocks):
             m, n = block.matrix.shape
             if m < n:
                 warnings.warn(f"underdetermined system ({m} rows < {n} cols)", stacklevel=2)
-            factors.append(np.linalg.qr(block.matrix, mode="raw"))
-        groups, qtbs = {}, {}  # block indices by (rows, copies); each block's Q^T b of every data vector
-        for b, block in enumerate(problem.blocks):
             groups.setdefault(block.rhs.shape[1:], []).append(b)
         for members in groups.values():
-            hs, taus = zip(*(factors[b] for b in members))
-            h, tau = hs[0][None], taus[0][None]  # a group of one block is reflected through a view
-            if len(members) > 1:  # zero-padded copies, to the group's largest reflector count
-                n = max(map(len, taus))
-                h, tau = np.zeros((len(members), n, h.shape[2])), np.zeros((len(members), n))
-                for j, (h_j, tau_j) in enumerate(zip(hs, taus)):
-                    h[j, : len(tau_j)], tau[j, : len(tau_j)] = h_j[: len(tau_j)], tau_j
-            y = _householder_qtb(h, tau, np.stack([problem.blocks[b].rhs for b in members], axis=1))
-            qtbs.update((b, y[:, j, : len(tau_j)]) for j, (b, tau_j) in enumerate(zip(members, taus)))
-        rs = [np.triu(h[:, : block.matrix.shape[1]].T) for block, (h, _) in zip(problem.blocks, factors)]
-        del factors, hs, h  # the reflectors die before the SVDs
-        factored = [np.linalg.svd(r) for r in rs]
+            blocks = [problem.blocks[b] for b in members]
+            stack = blocks[0].matrix[None]  # a group of one block is factored through a view
+            if len(blocks) > 1:  # column-major blocks, zero-padded to the group's widest
+                stack = np.zeros((len(blocks), max(block.matrix.shape[1] for block in blocks), len(blocks[0].matrix)))
+                for j, block in enumerate(blocks):
+                    stack[j, : block.matrix.shape[1]] = block.matrix.T
+                stack = stack.transpose(0, 2, 1)
+            h, tau = np.linalg.qr(stack, mode="raw")  # a zero column gets tau = 0 and leaves the others as they were
+            y = _householder_qtb(h, tau, np.stack([block.rhs for block in blocks], axis=1))
+            for j, (b, block) in enumerate(zip(members, blocks)):
+                n = block.matrix.shape[1]
+                qtbs[b], rs[b] = y[:, j, : min(n, len(block.matrix))], np.triu(h[j, :n, :n].T)
+        del stack, h  # the reflectors die before the SVDs
+        factored = [np.linalg.svd(rs.pop(b)) for b in range(len(problem.blocks))]
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"SVD failed: {exc}") from exc
     s_max = max(svals[0] for _, svals, _ in factored)
@@ -362,7 +443,8 @@ def solve(problem: LsqProblem, svd_rtol: float = SVD_RTOL) -> LsqSolution:
 
     c = np.zeros((len(problem.blocks[0].rhs), sum(block.columns.size for block in problem.blocks)))
     for b, (block, (U, svals, Vt)) in enumerate(zip(problem.blocks, kept)):
-        c[:, block.columns] = Vt.T @ ((U.T @ qtbs[b]) / svals[:, None])  # every data vector in one product
+        fit = Vt.T @ ((U.T @ qtbs[b]) / svals[:, None])  # every data vector in one product
+        c[:, block.columns] = fit if block.signs is None else fit * block.signs
     fits = [problem.residuals(i, c_i) for i, c_i in enumerate(c)]
     residual, sup = fits[0] if problem.single else map(np.array, zip(*fits))
     return LsqSolution(coefficients=c[0] if problem.single else c, residual_l2=residual, sup_residual=sup, rank=rank,

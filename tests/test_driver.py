@@ -327,17 +327,18 @@ def test_rule_about_another_center_is_refused():
 
 
 @pytest.mark.parametrize("spec, system, n_phi, blocks", [
-    (G.SurfaceSpec.sphere(1.0), lsq.OrderSystem, 32, None),
-    (G.SurfaceSpec.spheroid(1.0, 0.5), lsq.OrderSystem, 32, None),
-    (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), lsq.GrowingSystem, 32, 1),
-    (G.SurfaceSpec("custom", rho_fn=lambda t, f: 1.0 + 0.1 * np.cos(t) ** 2), lsq.GrowingSystem, 32, 1),
-    (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), lsq.GrowingSystem, 33, 4),
+    (G.SurfaceSpec.sphere(1.0), lsq.OrderSystem, 32, lambda L: L + 1),
+    (G.SurfaceSpec.spheroid(1.0, 0.5), lsq.OrderSystem, 32, lambda L: L + 1),
+    (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), lsq.GrowingSystem, 32, lambda L: 1),
+    (G.SurfaceSpec("custom", rho_fn=lambda t, f: 1.0 + 0.1 * np.cos(t) ** 2), lsq.GrowingSystem, 32, lambda L: 1),
+    (G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), lsq.GrowingSystem, 33, lambda L: min(L, 4) + 2),
 ], ids=["spec0-OrderSystem", "spec1-OrderSystem", "spec2-GrowingSystem", "spec3-GrowingSystem",
         "cosine_bump-on-a-rule-3-divides"])
 def test_only_declared_surfaces_of_revolution_split_by_order(monkeypatch, spec, system, n_phi, blocks):
     # the declarations in geometry.PRESETS pick the system; a custom rho_fn declares nothing. The
-    # order blocks of degree L are L + 1; the whole matrix is one block, and a 3-fold cosine_bump on a
-    # rule 3 divides is four, rotation class 0 and the pair of classes +-1, each split by theta-parity
+    # order blocks of degree L are L + 1; the whole matrix is one block. A 3-fold cosine_bump on a rule
+    # 3 divides is split by the mirrors: class 0's cos-type blocks and the pair of classes +-1 (two copies),
+    # each by theta-parity, four blocks; class 0's sin-type blocks join at L = 3 (l + 3 even) and L = 4 (odd)
     assert spec.axisymmetric == (system is lsq.OrderSystem)
     solved, solve = [], lsq.solve
     monkeypatch.setattr(D.lsq, "solve", lambda p, *args: solved.append(len(p.blocks)) or solve(p, *args))
@@ -345,7 +346,7 @@ def test_only_declared_surfaces_of_revolution_split_by_order(monkeypatch, spec, 
     data = F.boundary_data_from_oracle(rule, F.PointSource([0.1, 0.0, 0.0]))
     report = D.run_mrc(spec, rule, data, D.MrcConfig(epsilon=1e-6, L_max=8))
     assert report.termination == D.CONVERGED
-    assert solved == [h.L + 1 if system is lsq.OrderSystem else blocks for h in report.history]
+    assert solved == [blocks(h.L) for h in report.history]
 
 
 def test_a_64_lobed_bump_sends_no_empty_block_to_the_solve(monkeypatch):
@@ -365,9 +366,9 @@ def test_a_64_lobed_bump_sends_no_empty_block_to_the_solve(monkeypatch):
 
 def test_a_rule_no_rotation_divides_is_one_unfolded_block(monkeypatch):
     # 3 does not divide the 82 phi-lines of the floor's rule: its system stays the whole matrix, on every node,
-    # although cosine_bump also declares the mirror z -> -z
+    # although cosine_bump also declares the mirrors z -> -z and y -> -y
     spec = G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3)
-    assert spec.z_mirror and spec.rotation_order == 3
+    assert spec.mirrors and spec.rotation_order == 3
     rule = G.build_quadrature(spec, 42, 82)
     solved, solve = [], lsq.solve
     monkeypatch.setattr(D.lsq, "solve", lambda p, *args: solved.append(p) or solve(p, *args))

@@ -121,19 +121,21 @@ MIRROR_SAMPLES = {  # each preset with parameters to check its declarations on
 
 @pytest.mark.parametrize("kind", sorted(G.PRESETS))
 def test_a_declared_z_mirror_holds(kind):
-    # a fold by z -> -z (theta -> pi - theta) needs rho even in theta about pi/2, so d rho/d theta odd
-    # and d rho/d phi even; a custom surface declares nothing
+    # a fold by z -> -z (theta -> pi - theta) needs rho even in theta about pi/2, so d rho/d theta odd and
+    # d rho/d phi even; one by y -> -y (phi -> -phi) needs rho even in phi, so d rho/d theta even and d rho/d phi
+    # odd. Every preset declares both mirrors; a custom surface declares nothing
     rng = np.random.default_rng(7)
     theta, phi = rng.uniform(0.0, np.pi, 200), rng.uniform(0.0, 2.0 * np.pi, 200)
     for spec in MIRROR_SAMPLES[kind]:
-        assert spec.z_mirror == G.PRESETS[kind].z_mirror
-        if spec.z_mirror:
-            (r, r_t, r_p), (m, m_t, m_p) = ((spec.rho(t, phi), *spec.rho_derivatives(t, phi))
-                                            for t in (theta, np.pi - theta))
-            assert np.allclose(m, r, rtol=1e-14, atol=0.0)
-            assert np.allclose(m_t, -r_t, rtol=0.0, atol=1e-14 * np.max(r))
-            assert np.allclose(m_p, r_p, rtol=0.0, atol=1e-14 * np.max(r))
-    assert not G.SurfaceSpec("custom", rho_fn=lambda t, f: 1.0 + 0.0 * t).z_mirror
+        assert spec.mirrors == G.PRESETS[kind].mirrors
+        if spec.mirrors:
+            r, r_t, r_p = spec.rho(theta, phi), *spec.rho_derivatives(theta, phi)
+            for (t, f), (s_t, s_p) in (((np.pi - theta, phi), (-1, 1)), ((theta, -phi), (1, -1))):
+                m, m_t, m_p = spec.rho(t, f), *spec.rho_derivatives(t, f)
+                assert np.allclose(m, r, rtol=1e-14, atol=0.0)
+                assert np.allclose(m_t, s_t * r_t, rtol=0.0, atol=1e-14 * np.max(r))
+                assert np.allclose(m_p, s_p * r_p, rtol=0.0, atol=1e-14 * np.max(r))
+    assert not G.SurfaceSpec("custom", rho_fn=lambda t, f: 1.0 + 0.0 * t).mirrors
 
 
 def test_each_gauss_legendre_size_is_computed_once_and_shared_read_only():

@@ -294,6 +294,25 @@ def test_a_padded_stack_reflects_each_block_as_if_alone(shapes, copies):
             assert stacked[i, j, : len(tau_j)].tobytes() == alone.tobytes()
 
 
+@pytest.mark.filterwarnings("ignore:underdetermined system")
+@pytest.mark.parametrize("shapes", [[(20, 3), (20, 15), (20, 8)], [(5, 8), (5, 2)]], ids=["tall", "wide"])
+def test_a_padded_stack_factors_each_block_as_if_alone(shapes):
+    # solve factors a group of blocks as one stack of column-major blocks, zero-padded to the widest: LAPACK
+    # leaves a zero column out of every reflection and gives it tau = 0, so each block's reflectors, tau and R
+    # are bit-equal to its own np.linalg.qr, and the padding stays zero
+    rng = np.random.default_rng(13)
+    blocks = [np.asfortranarray(rng.normal(size=shape)) for shape in shapes]
+    stack = np.zeros((len(blocks), max(n for _, n in shapes), shapes[0][0]))
+    for j, A in enumerate(blocks):
+        stack[j, : A.shape[1]] = A.T
+    h, tau = np.linalg.qr(stack.transpose(0, 2, 1), mode="raw")
+    assert h.shape == stack.shape and h.flags.c_contiguous
+    for j, A in enumerate(blocks):
+        h_j, tau_j = np.linalg.qr(A, mode="raw")
+        assert h[j, : A.shape[1]].tobytes() == h_j.tobytes() and tau[j, : len(tau_j)].tobytes() == tau_j.tobytes()
+        assert not np.any(h[j, A.shape[1] :]) and not np.any(tau[j, len(tau_j) :])
+
+
 def test_blocks_hold_right_hand_sides_and_columns_in_the_reflectors_layout(sphere_rule):
     # rhs is (n_data, n_rows, n_copies) and columns (n_cols, n_copies): a data vector's block right-hand
     # side is what the reflectors act on, and a block's fit fills c[columns] as it comes
@@ -422,9 +441,10 @@ def test_order_system_refuses_what_it_cannot_split():
 
 
 ROTATION_CASES = {  # cosine_bump's p and the rule's n_theta x n_phi; GrowingSystem takes the order g = gcd(p, n_phi)
-    "g2": (2, 12, 24), "g3": (3, 12, 24), "g4": (4, 12, 24), "g5": (5, 12, 25), "p6-on-45": (6, 12, 45),
+    "g2": (2, 12, 24), "g3": (3, 12, 24), "g4": (4, 12, 24),  # even g: class g/2's blocks drop opposite planes
+    "g5": (5, 12, 25), "p6-on-45": (6, 12, 45),  # odd n_s = n_phi/g: no phi-line on the plane phi = pi/g
     "g3-on-13x24": (3, 13, 24),  # an odd n_theta: the fold's equator line serves the even blocks only
-    "g1-on-13x24": (1, 13, 24),  # one class: the whole matrix, or its two theta-parity blocks
+    "g1-on-13x24": (1, 13, 24),  # one class: the whole matrix, or its cos- and sin-type blocks by theta-parity
 }
 
 
@@ -438,12 +458,23 @@ def test_rotation_classes_solve_the_full_system(name):
     whole = lsq.GrowingSystem(rule, values, lsq.ROBIN, 1.0).extend(L)
     svals = np.linalg.svd(whole.blocks[0].matrix, compute_uv=False)
     full = lsq.solve(whole)
+    pairs, singles = (g - 1) // 2, 2 - g % 2  # the pairs of classes +-k, and class 0 with class g/2 for even g
     for mirror in (False, True):
         classes = lsq.GrowingSystem(rule, values, lsq.ROBIN, 1.0, g, mirror).extend(L)
-        # class 0, the pairs +-k, and class g/2 for even g; each split in two by theta-parity under the fold
-        assert len(classes.blocks) == (g // 2 + 1) * (1 + mirror)
+        # one block per class unfolded; under the mirrors class 0 and class g/2 split in four by theta-parity and
+        # by phi-parity (cos-type, sin-type), and each pair in two by theta-parity, each block serving two copies
+        assert len(classes.blocks) == (4 * singles + 2 * pairs if mirror else g // 2 + 1)
         assert sorted(np.concatenate([b.columns.ravel() for b in classes.blocks])) == list(range((L + 1) ** 2))
-        union = np.sort(np.concatenate([np.linalg.svd(b.matrix, compute_uv=False) for b in classes.blocks]))[::-1]
+        twins = [b for b in classes.blocks if b.columns.shape[1] == 2]
+        assert len(twins) == 2 * pairs * mirror
+        for b in twins:  # copy 2 is (l, -|m|) of copy 1's (l, |m|), on n_s rows per tabulated theta-line
+            (ells, ms), (ells2, ms2) = (np.array([H.unflatten(k) for k in b.columns[:, j]]).T for j in (0, 1))
+            assert np.all(ms > 0) and np.array_equal(ells, ells2) and np.array_equal(ms2, -ms)
+            assert len(set((ells + ms) % 2)) == 1
+            lines = n_theta - n_theta // 2 if (ells[0] + ms[0]) % 2 == 0 else n_theta // 2
+            assert b.matrix.shape[0] == n_phi // g * lines
+        union = np.sort(np.concatenate([np.tile(np.linalg.svd(b.matrix, compute_uv=False), b.columns.shape[1])
+                                        for b in classes.blocks]))[::-1]
         assert np.max(np.abs(union - svals)) <= 1e-14 * svals[0]
         split = lsq.solve(classes)
         assert split.rank == full.rank
@@ -470,6 +501,14 @@ def test_a_fold_refuses_theta_lines_that_are_not_mirrored():
     with pytest.raises(ValueError, match="mirrored through the equator"):
         lsq.GrowingSystem(skewed, np.zeros(rule.n_nodes), lsq.DIRICHLET, 0.0, 3, True)
     lsq.GrowingSystem(skewed, np.zeros(rule.n_nodes), lsq.DIRICHLET, 0.0, 3)  # unfolded, the lines are not read
+    # weights that phi -> -phi does not map to themselves (sin(phi) is odd under it), or phi-lines that are not
+    # uniform, cannot be folded onto half a sector either, also with no rotation
+    lopsided = dataclasses.replace(rule, weights=rule.weights * (1.0 + 0.1 * np.sin(rule.phi)))
+    shifted = dataclasses.replace(rule, phi=rule.phi + 0.1)
+    for bad, order in ((lopsided, 3), (lopsided, 1), (shifted, 1)):  # 3 refuses shifted lines as a rotation order
+        with pytest.raises(ValueError, match="mirrored"):
+            lsq.GrowingSystem(bad, np.zeros(rule.n_nodes), lsq.DIRICHLET, 0.0, order, True)
+    lsq.GrowingSystem(lopsided, np.zeros(rule.n_nodes), lsq.DIRICHLET, 0.0, 3)
 
 
 def test_extend_refuses_a_degree_above_the_top_one():
@@ -486,7 +525,7 @@ def test_a_grown_system_equals_a_fresh_build(order):
     # degree: each degree's blocks are bit-equal to those of a system built for that degree at once
     rule = G.build_quadrature(G.SurfaceSpec.cosine_bump(1.0, 0.2, 2, 3), 12, 24)
     values = F.boundary_data_from_oracle(rule, F.PointSource([0.3, 0.0, 0.0]), lsq.ROBIN, 1.0).values
-    for mirror in (False, True):  # each class whole, or folded in two by theta-parity
+    for mirror in (False, True):  # each class whole, or split by both mirrors
         grown = lsq.GrowingSystem(rule, values, lsq.ROBIN, 1.0, order, mirror)
         for L in (0, 1, 4, 8):
             fresh = lsq.GrowingSystem(rule, values, lsq.ROBIN, 1.0, order, mirror).extend(L)

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrc import cli
+from mrc import driver as D
 from mrc import fields as F
 from mrc import geometry as G
+from mrc import harmonics as H
 from mrc import lsq
 
 SURFACES = {  # two surfaces of revolution (OrderSystem) and one that is not (GrowingSystem)
@@ -44,6 +47,60 @@ def test_the_fit_is_linear_in_the_data(rules, name, bc, z1, z2, a, b, L):
     system = lsq.OrderSystem if spec.axisymmetric else lsq.GrowingSystem
     c1, c2, c3 = lsq.solve(system(rule, np.stack([f, g, a * f + b * g]), bc, SIGMA[bc]).extend(L)).coefficients
     assert np.max(np.abs(c3 - (a * c1 + b * c2))) <= 1e-11 * (np.max(np.abs(a * c1)) + np.max(np.abs(b * c2)))
+
+
+BUMP = SURFACES["cosine_bump"]
+BUMP_RULES = {"split": (12, 24), "whole": (12, 26)}  # 3 divides 24: rotation classes under both mirrors; not 26
+
+
+@pytest.fixture(scope="module")
+def bump_rules():
+    return {name: G.build_quadrature(BUMP, *shape) for name, shape in BUMP_RULES.items()}
+
+
+def bump_fit(rule, z, bc, L, system=None):
+    """The coefficients of degrees 0..L fitted to a source at z, through the system the driver picks, or `system`."""
+    data = F.boundary_data_from_oracle(rule, F.PointSource(z), bc, SIGMA[bc])
+    if system is not None:
+        return lsq.solve(system(rule, data.values, bc, SIGMA[bc]).extend(L)).coefficients
+    return D.run_mrc(BUMP, rule, data, D.MrcConfig(epsilon=1e-300, L_start=L, L_max=L)).coefficients
+
+
+@settings(max_examples=20, deadline=None)
+@given(bc=st.sampled_from(lsq.BC_KINDS), z=source, L=st.integers(2, 8))
+def test_a_mirrored_source_negates_the_sin_type_coefficients(bump_rules, bc, z, L):
+    # y -> -y maps the bump and both rules to themselves and h_lm to itself for m >= 0, to -h_lm for m < 0: the
+    # fit of the mirrored source is the fit with every m < 0 coefficient negated, split or whole
+    orders = np.array([H.unflatten(k)[1] for k in range(H.n_terms(L))])
+    for rule in bump_rules.values():
+        c, mirrored = (bump_fit(rule, point, bc, L) for point in (z, (z[0], -z[1], z[2])))
+        assert np.max(np.abs(mirrored - np.where(orders < 0, -c, c))) <= 1e-12 * np.max(np.abs(c))
+
+
+def rotated_fit(c: np.ndarray, alpha: float) -> np.ndarray:
+    """The coefficients of the fit rotated by alpha about the z-axis, order by order: each (cos, sin) pair of
+    |m| turns by |m| alpha."""
+    out = c.copy()
+    for k in range(len(c)):
+        ell, m = H.unflatten(k)
+        if m > 0:
+            sin_k = H.flatten(ell, -m)
+            cos_m, sin_m = math.cos(m * alpha), math.sin(m * alpha)
+            out[k], out[sin_k] = c[k] * cos_m - c[sin_k] * sin_m, c[k] * sin_m + c[sin_k] * cos_m
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(bc=st.sampled_from(lsq.BC_KINDS), z=source, L=st.integers(2, 8))
+def test_a_rotated_source_rotates_the_fit_order_by_order(bump_rules, bc, z, L):
+    # a rotation by 2 pi/p maps the p-fold bump and a rule p divides to themselves: the fit of the rotated source
+    # is the fit rotated order by order, through the split system the driver picks and through the whole matrix.
+    # On a rule p does not divide the rotation maps no node to a node, and the fits differ by the misfit
+    alpha = 2.0 * math.pi / BUMP.rotation_order
+    turned = (z[0] * math.cos(alpha) - z[1] * math.sin(alpha), z[0] * math.sin(alpha) + z[1] * math.cos(alpha), z[2])
+    for system in (None, lsq.GrowingSystem):
+        c, rotated = (bump_fit(bump_rules["split"], point, bc, L, system) for point in (z, turned))
+        assert np.max(np.abs(rotated - rotated_fit(c, alpha))) <= 1e-12 * np.max(np.abs(c))
 
 
 BASE_CONFIG = {  # a small solve that converges: a 3-fold bump's auto rule, split and folded
